@@ -163,3 +163,60 @@ def test_jobs_flag_validated(capsys):
     assert code == 1
     code, out, _ = run(capsys, "--jobs", "2", "classify", "--r", "3", "--m-max", "6")
     assert code == 0
+
+
+PINNED_TEXT = {
+    "avoid": (
+        ("avoid", "--r", "3", "--m", "12", "--f", "110"),
+        "pair: r=3 m=12 f=110\n"
+        "conclusion: absolutely avoidable\n"
+        "case: both\n"
+        "k_f: 9  k_fbar: 9\n"
+        "trace:\n"
+        "  f: C(9,3) + m < f: 96 < 110 [holds]\n"
+        "  f: f < C(10,3): 110 < 120 [holds]\n"
+        "  complement: C(9,3) + m < f: 96 < 110 [holds]\n"
+        "  complement: f < C(10,3): 110 < 120 [holds]\n",
+    ),
+    "bounds": (
+        ("bounds", "--r", "3", "--m", "6", "--f", "10"),
+        "pair: r=3 m=6 f=10\n"
+        "bound: 5/9 (≈ 0.5556)\n"
+        "case: two-sided (l=3)\n"
+        "justification: t(6,3) = 8 < both 10 and 10\n",
+    ),
+    "oracle-arrows": (
+        ("oracle", "arrows", "--n", "5", "--e", "7", "--r", "3", "--m", "4", "--f", "4"),
+        "query: n=5 e=7 r=3 m=4 f=4\n"
+        "arrows: false\n"
+        "graphs_examined: 8\n"
+        "counterexample:\n"
+        "3 5\n0 1 3\n0 1 4\n0 2 3\n0 2 4\n0 3 4\n1 2 3\n1 2 4\n",
+    ),
+    "oracle-blowup-verify": (
+        ("oracle", "blowup-verify", "--depth", "2"),
+        "depth: 2  n: 9  edges: 30\n"
+        "density: 5/14 (≈ 0.3571)\n"
+        "max edges in a 6-subset: 8\n"
+        "min edges in a complement 6-subset: 12\n"
+        "non-arrowing size intervals for (6,10): (0, 30) and (54, 84)\n"
+        "sizes covered: 62 of 85\n"
+        "note: subgraphs keep 6-set maxima, supergraphs of the complement keep 6-set minima\n",
+    ),
+    "spectrum": (
+        ("spectrum", "--in", "{blowup2}", "--m", "6"),
+        "spectrum of m=6 subsets (r=3, n=9):\n"
+        "  2: 3\n"
+        "  7: 54\n"
+        "  8: 27\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TEXT))
+def test_text_output_pinned(name, tmp_path, capsys):
+    argv, expected = PINNED_TEXT[name]
+    path = tmp_path / "blowup2.hg"
+    assert run(capsys, "construct", "blowup", "--depth", "2", "--out", str(path))[0] == 0
+    argv = [a.format(blowup2=path) for a in argv]
+    assert run(capsys, *argv) == (0, expected, "")

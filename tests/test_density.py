@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pairset.avoidability import positive_density_candidates
 from pairset.combinatorics import binomial, turan_ratio
 from pairset.density import (
     density_bound_table,
@@ -24,6 +25,17 @@ def test_zero_certificate_precedence():
     assert b.bound == 0
     assert b.case == "zero-certificate"
     assert "complement" in b.justification
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_zero_certificates_miss_exactly_the_candidates(r):
+    # both run the same four realizability checks, so they must agree
+    for m in range(r + 1, 13):
+        total = binomial(m, r)
+        uncertified = {
+            f for f in range(1, total) if density_upper_bound(m, f, r).case != "zero-certificate"
+        }
+        assert uncertified == positive_density_candidates(m, r), m
 
 
 def test_one_sided_bound_for_large_orders():
