@@ -51,7 +51,6 @@ from .hypergraph import (
     Hypergraph,
     ParseError,
     Spectrum,
-    canonical_form,
     complement,
     complete,
     disjoint_union,

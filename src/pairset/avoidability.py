@@ -309,26 +309,36 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
     return NearHalfResult(f_cert, case, certificate)
 
 
+def _missing_realization(
+    m: int, f: int, r: int, *, strict: bool = False, total: int | None = None
+) -> str | None:
+    """Which of the four realizability checks (both shapes, for f and for its
+    complement, in that order) is the first to find no witness, or None when
+    all four find one.  total is C(m, r), computed here when not given."""
+    fbar = (binomial(m, r) if total is None else total) - f
+    if not isinstance(clique_plus_witness(m, f, r, strict=strict), RealizabilityWitness):
+        return "no clique-plus-bounded realization of f"
+    if not isinstance(clique_plus_witness(m, fbar, r, strict=strict), RealizabilityWitness):
+        return "no clique-plus-bounded realization of the complement size"
+    if not isinstance(clique_minus_witness(m, f, r, strict=strict), RealizabilityWitness):
+        return "no complement-type realization of f"
+    if not isinstance(clique_minus_witness(m, fbar, r, strict=strict), RealizabilityWitness):
+        return "no complement-type realization of the complement size"
+    return None
+
+
 def positive_density_candidates(m: int, r: int, *, strict: bool = False) -> set[int]:
     """All sizes 0 < f < C(m, r) that pass all four realizability checks
-    (both shapes, for f and for its complement) and therefore cannot be
-    ruled density-zero by the realizability machinery."""
+    and therefore cannot be ruled density-zero by the realizability
+    machinery."""
     if m <= r:
         raise ValueError(f"order must exceed uniformity, got m={m}, r={r}")
     total = binomial(m, r)
-    out: set[int] = set()
-    for f in range(1, total):
-        fbar = total - f
-        if not isinstance(clique_plus_witness(m, f, r, strict=strict), RealizabilityWitness):
-            continue
-        if not isinstance(clique_plus_witness(m, fbar, r, strict=strict), RealizabilityWitness):
-            continue
-        if not isinstance(clique_minus_witness(m, f, r, strict=strict), RealizabilityWitness):
-            continue
-        if not isinstance(clique_minus_witness(m, fbar, r, strict=strict), RealizabilityWitness):
-            continue
-        out.add(f)
-    return out
+    return {
+        f
+        for f in range(1, total)
+        if _missing_realization(m, f, r, strict=strict, total=total) is None
+    }
 
 
 def certificate_document(cert: AvoidabilityCertificate) -> dict:

@@ -82,7 +82,7 @@ class SparseGenLog:
     """Side-channel record of one generator run; never part of the graph."""
 
     probability: float
-    theoretical_target: int
+    theoretical_target: int  # expected sample size, p * C(n, r) rounded
     sampled_edges: int
     repairs: int
     final_edges: int
@@ -141,9 +141,7 @@ def random_sparse(
         raise BudgetExceededError(
             f"cannot verify sparsity: C({n},{m}) = {binomial(n, m)} subset scans exceed the cap of {cap}"
         )
-    target_f = config.target_f if config.target_f is not None else m + 1
-    exponent = r - m / target_f  # yields ~ c * n**exponent edges before repair
-    p = min(1.0, float(config.density_constant) * n ** (-m / target_f))
+    p = min(1.0, float(config.density_constant) * n ** (-m / (config.edge_limit + 1)))
     rng = random.Random(config.seed)
     edges = {t for t in subsets_colex(n, r) if rng.random() < p}
     sampled = len(edges)
@@ -167,8 +165,7 @@ def random_sparse(
                     removed += 1
         if removed == 0:
             break
-    target = int(float(config.density_constant) * n**exponent)
-    log = SparseGenLog(p, target, sampled, repairs, len(edges))
+    log = SparseGenLog(p, round(p * binomial(n, r)), sampled, repairs, len(edges))
     return Hypergraph(r, n, frozenset(edges)), log
 
 

@@ -1,21 +1,21 @@
 """Uniform hypergraph values plus induced-subgraph queries and file I/O.
 
-All enumeration here is exhaustive and budget-checked; exceeding a budget is
-an error, never a silent approximation.
+Subset scans here are exhaustive and budget-checked; exceeding a budget is
+an error, never a silent approximation.  complete and complement enumerate
+all C(n, r) r-sets without a cap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .combinatorics import binomial, colex_key, subsets_colex
+from .combinatorics import binomial, colex_key
 from .errors import BudgetExceededError
 
 SPECTRUM_CAP = 10_000_000
-CANONICAL_CAP = 10
 
 
 class ParseError(ValueError):
@@ -185,31 +185,6 @@ def is_sparse(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> bool:
             f"sparsity check needs C({g.n},{m}) = {binomial(g.n, m)} subset scans, above the cap of {cap}"
         )
     return _first_violation(g.edges, g.n, g.r, m, m) is None
-
-
-def canonical_form(g: Hypergraph, *, max_n: int = CANONICAL_CAP) -> tuple:
-    """Canonical edge-set encoding, equal exactly for isomorphic graphs.
-
-    Minimises the colex-rank bitmask of the edge set over all n! vertex
-    relabelings; the winning edge set is returned as (r, n, edges).  Brute
-    force by design, hence the vertex cap.
-    """
-    if g.n > max_n:
-        raise BudgetExceededError(
-            f"canonical_form enumerates {g.n}! relabelings; n={g.n} is above the cap of {max_n}"
-        )
-    rsets = list(subsets_colex(g.n, g.r))
-    rank = {s: i for i, s in enumerate(rsets)}
-    best: int | None = None
-    for p in permutations(range(g.n)):
-        word = 0
-        for e in g.edges:
-            word |= 1 << rank[tuple(sorted(p[v] for v in e))]
-        if best is None or word < best:
-            best = word
-    best = 0 if best is None else best  # n = 0 still yields the empty permutation
-    edges = tuple(rsets[i] for i in range(len(rsets)) if best >> i & 1)
-    return (g.r, g.n, edges)
 
 
 def serialize(g: Hypergraph) -> str:

@@ -2,9 +2,8 @@
 
 A pair (n, e) arrows (m, f) when every r-graph with n vertices and e edges
 has an induced m-vertex subgraph with exactly f edges.  These routines decide
-that by enumerating every e-edge graph on n labelled vertices (optionally up
-to isomorphism) and every m-subset, refusing outright when the work would
-exceed the configured budget.
+that by enumerating every e-edge graph on n labelled vertices and every
+m-subset, refusing outright when the work would exceed the configured budget.
 """
 
 from __future__ import annotations
@@ -17,15 +16,7 @@ from itertools import combinations
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import BudgetExceededError
-from .hypergraph import (
-    CANONICAL_CAP,
-    SPECTRUM_CAP,
-    Hypergraph,
-    canonical_form,
-    complement,
-    hypergraph,
-    spectrum,
-)
+from .hypergraph import SPECTRUM_CAP, Hypergraph, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "PAIRSET_BUDGET"
@@ -73,21 +64,12 @@ def graph_arrows(g: Hypergraph, m: int, f: int, *, cap: int = SPECTRUM_CAP) -> b
 
 
 def pair_arrows(
-    n: int,
-    e: int,
-    r: int,
-    m: int,
-    f: int,
-    *,
-    budget: int | None = None,
-    dedup: bool = False,
+    n: int, e: int, r: int, m: int, f: int, *, budget: int | None = None
 ) -> ArrowVerdict:
     """Decide whether (n, e) arrows (m, f) by exhausting every e-edge graph.
 
     Graphs are enumerated as colex-ordered subsets of the colex-ranked edge
     slots, so a returned counterexample is the colex-least failing edge set.
-    With dedup=True graphs are skipped when an isomorphic representative was
-    already checked (exact only under the canonical-form vertex cap).
     """
     if r < 2 or n < 0:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
@@ -98,8 +80,6 @@ def pair_arrows(
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
-    if dedup and n > CANONICAL_CAP:
-        raise ValueError(f"isomorphism dedup needs n <= {CANONICAL_CAP}, got {n}")
     cost = binomial(slots, e) * max(1, binomial(n, m))
     allowed = resolve_budget(budget)
     if cost > allowed:
@@ -117,17 +97,10 @@ def pair_arrows(
         masks.append(word)
     query = (n, e, r, m, f)
     examined = 0
-    seen: set[tuple] = set()
     for ranks in subsets_colex(slots, e):
         bits = 0
         for i in ranks:
             bits |= 1 << i
-        if dedup:
-            g = hypergraph(r, n, (rsets[i] for i in ranks))
-            form = canonical_form(g)
-            if form in seen:
-                continue
-            seen.add(form)
         examined += 1
         hit = False
         for mask in masks:

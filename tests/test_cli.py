@@ -159,10 +159,16 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_jobs_flag_validated(capsys):
-    code, _, err = run(capsys, "--jobs", "0", "classify", "--r", "3", "--m-max", "6")
-    assert code == 1
-    code, out, _ = run(capsys, "--jobs", "2", "classify", "--r", "3", "--m-max", "6")
-    assert code == 0
+    # --jobs and --dedup are gone; both are rejected as usage errors
+    code, out, err = run(capsys, "--jobs", "2", "classify", "--r", "3", "--m-max", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error")
+    code, out, err = run(
+        capsys, "oracle", "arrows",
+        "--n", "5", "--e", "4", "--r", "3", "--m", "4", "--f", "2", "--dedup",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error")
 
 
 PINNED_TEXT = {

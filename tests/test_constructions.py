@@ -90,6 +90,14 @@ def test_random_sparse_postconditions():
     assert log_again == log
 
 
+def test_random_sparse_logs_expected_sample_size():
+    # the target is p * C(n, r): 0.25 * 20**(-6/7) * 1140 = 21.9
+    _, log = random_sparse(SparseGenConfig(20, 3, 6, seed=3))
+    assert log.theoretical_target == 22
+    assert log.theoretical_target == round(log.probability * binomial(20, 3))
+    assert log.sampled_edges == 19
+
+
 def test_random_sparse_supplies_enough_edges():
     # downstream clique fillers need at least C(7,2) = 21 edges at this scale
     for seed in range(20):

@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 
 import pytest
@@ -11,7 +10,6 @@ from pairset.errors import BudgetExceededError
 from pairset.hypergraph import (
     Hypergraph,
     ParseError,
-    canonical_form,
     complement,
     complete,
     disjoint_union,
@@ -134,44 +132,6 @@ def test_is_sparse_examples():
     g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
     assert not is_sparse(g2, 6)
     assert is_sparse(hypergraph(3, 4, [(0, 1, 2)]), 5)  # m > n is vacuous
-
-
-def test_canonical_form_examples():
-    k5 = complete(5, 3)
-    base = canonical_form(k5)
-    rng = random.Random(3)
-    for _ in range(5):
-        p = list(range(5))
-        rng.shuffle(p)
-        relabeled = hypergraph(3, 5, [tuple(p[v] for v in e) for e in k5.edges])
-        assert canonical_form(relabeled) == base
-    one = hypergraph(3, 3, [(0, 1, 2)])
-    zero = hypergraph(3, 3, [])
-    assert canonical_form(one) != canonical_form(zero)
-    with pytest.raises(BudgetExceededError):
-        canonical_form(complete(11, 3))
-
-
-def test_canonical_form_invariant_under_relabeling():
-    rng = random.Random(20240)
-    for _ in range(100):
-        n = rng.randint(1, 7)
-        r = rng.choice([2, 3])
-        slots = list(combinations(range(n), r))
-        edges = [e for e in slots if rng.random() < 0.4]
-        g = hypergraph(r, n, edges)
-        p = list(range(n))
-        rng.shuffle(p)
-        h = hypergraph(r, n, [tuple(p[v] for v in e) for e in edges])
-        assert canonical_form(g) == canonical_form(h)
-
-
-def test_canonical_form_separates_nonisomorphic():
-    a = hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])  # two edges sharing two vertices
-    b = hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])  # isomorphic to a
-    c = hypergraph(3, 4, [(0, 1, 2)])
-    assert canonical_form(a) == canonical_form(b)
-    assert canonical_form(a) != canonical_form(c)
 
 
 def test_parse_basic():

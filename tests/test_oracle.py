@@ -54,13 +54,6 @@ def test_pair_arrows_turan_for_graphs():
     assert v.arrows
 
 
-def test_pair_arrows_dedup_agrees():
-    plain = pair_arrows(5, 4, 3, 4, 2)
-    dedup = pair_arrows(5, 4, 3, 4, 2, dedup=True)
-    assert plain.arrows == dedup.arrows
-    assert dedup.graphs_examined <= plain.graphs_examined
-
-
 def test_non_arrowing_sizes_examples():
     assert non_arrowing_sizes(5, 3, 4, 4) == set(range(8))
     assert non_arrowing_sizes(5, 2, 3, 3) == set(range(7))
