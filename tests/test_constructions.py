@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from pairset.constructions import (
     BASE_TIGHT_CYCLE,
     BlowupSpec,
     SparseGenConfig,
+    SparseGenLog,
     iterated_blowup,
     random_sparse,
     realize_clique_plus_sparse,
@@ -167,3 +169,75 @@ def test_realize_complement_validation():
         realize_complement_sparse(10, 20, 3, 5)  # below half; realize directly
     with pytest.raises(ValueError):
         realize_complement_sparse(10, 121, 3, 5)
+
+
+# sha256 prefixes of serialize() and the full generator logs, recorded before
+# the sparsity scan was rewritten, so that a faster scan must reproduce the
+# same graphs edge for edge.  Configurations: the sparse slots of the
+# benchmark's construct mix (m = 6) at seeds 0..2, both unrepaired samples
+# (constants 1/4, 1/2) and samples with hundreds of repairs (constant 4).
+PINNED_SPARSE = [
+    # (n, r, constant, probability), then per seed (digest, target, sampled, repairs, final)
+    ((14, 3, "1/4", 0.026034218742433637), [
+        ("4352fe585f396e5b", 9, 10, 0, 10),
+        ("3f446aeba93f825b", 9, 14, 0, 14),
+        ("a2b01a754ee92d61", 9, 11, 0, 11)]),
+    ((16, 3, "1", 0.09287464307105929), [
+        ("885bdcef29729947", 52, 62, 15, 47),
+        ("1ab5ba31a17a7b0b", 52, 53, 10, 43),
+        ("baa65b1331f59b97", 52, 47, 1, 46)]),
+    ((16, 3, "4", 0.37149857228423716), [
+        ("64fa9b5bab3cb8ff", 208, 200, 173, 27),
+        ("5a5e9672b116e5e6", 208, 202, 162, 40),
+        ("8e7eff66e2f34017", 208, 202, 167, 35)]),
+    ((18, 3, "1/2", 0.041978038625261206), [
+        ("04787679570973ec", 34, 40, 0, 40),
+        ("8e9944433663b5db", 34, 42, 0, 42),
+        ("803a08abcf7058b1", 34, 33, 0, 33)]),
+    ((14, 4, "1/4", 0.026034218742433637), [
+        ("14bf0a2a6b085f6f", 26, 31, 0, 31),
+        ("426859182af973ca", 26, 28, 0, 28),
+        ("6ce362c1a945beb7", 26, 23, 0, 23)]),
+    ((16, 4, "2", 0.18574928614211858), [
+        ("4b0967839e6b3b14", 338, 333, 57, 276),
+        ("e24b342e11b1a19c", 338, 322, 58, 264),
+        ("2600b294cfb94495", 338, 322, 42, 280)]),
+    ((14, 4, "4", 0.4165474998789382), [
+        ("5f7bd0ec74db1436", 417, 420, 294, 126),
+        ("20fb665c526472c4", 417, 399, 282, 117),
+        ("b51dd468abe496f7", 417, 401, 286, 115)]),
+    ((16, 4, "1/2", 0.046437321535529645), [
+        ("2de685fcb699fda8", 85, 113, 1, 112),
+        ("bd4dc4a278ff094a", 85, 98, 0, 98),
+        ("207773144f0732c7", 85, 90, 0, 90)]),
+]
+
+# (n, e, seed) of clique-plus-sparse calls, with the digests of that call and
+# of the complement-sparse call at C(n, 3) - e; r = 3, m = 6
+PINNED_REALIZE = [
+    ((26, 223, 0), "bd858cec93fa30bb", "942a2c995993800b"),
+    ((27, 175, 5), "50e69c09bda705c7", "9953360245669968"),
+    ((28, 365, 17), "c928e80b14ac169e", "4e9a2d58b899c987"),
+    ((28, 293, 999), "2fa23374720101c2", "008acf92fa43d000"),
+]
+
+
+def _digest(g):
+    return hashlib.sha256(serialize(g).encode()).hexdigest()[:16]
+
+
+def test_random_sparse_outputs_pinned():
+    repairs = []
+    for (n, r, constant, p), runs in PINNED_SPARSE:
+        for seed, (digest, target, sampled, repaired, final) in enumerate(runs):
+            config = SparseGenConfig(n, r, 6, seed, density_constant=Fraction(constant))
+            g, log = random_sparse(config)
+            assert (_digest(g), log) == (digest, SparseGenLog(p, target, sampled, repaired, final))
+            repairs.append(repaired)
+    assert 0 in repairs and max(repairs) > 100
+
+
+def test_realize_outputs_pinned():
+    for (n, e, seed), plus, minus in PINNED_REALIZE:
+        assert _digest(realize_clique_plus_sparse(n, e, 3, 6, seed=seed)) == plus
+        assert _digest(realize_complement_sparse(n, binomial(n, 3) - e, 3, 6, seed=seed)) == minus
