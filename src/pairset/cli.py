@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from . import avoidability, constructions, density, oracle
 from .avoidability import CheckedInequality, RealizabilityWitness, certificate_document
@@ -336,10 +337,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use.
+
+    Building it costs more than most queries do, and parse_args keeps no
+    state between calls, so one parser serves every call of main.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         doc = args.func(args)
         if doc is not None:
             lines = [json.dumps(doc, sort_keys=True)] if args.format == "json" else args.render(doc)

@@ -132,8 +132,11 @@ def random_sparse(
     below the configured edge limit.
 
     Each r-set is kept independently with probability derived from the
-    density constant; afterwards, violating m-sets are repaired by deleting
-    their lowest-colex edge until a full scan finds none.  The result is
+    density constant.  If the sparsity check finds a violating m-set, one
+    repair pass visits every m-set through each remaining edge, in colex
+    order of the edges, and deletes the lowest-colex edge of a violating
+    set until it complies.  Edges are only ever removed, so a set fixed
+    when it is visited stays fixed and one pass leaves none.  The result is
     fully determined by the seed.
     """
     n, r, m = config.n, config.r, config.m
@@ -147,8 +150,7 @@ def random_sparse(
     sampled = len(edges)
     limit = config.edge_limit
     repairs = 0
-    while True:
-        removed = 0
+    while _first_violation(edges, n, r, m, limit) is not None:
         for anchor in sorted(edges, key=colex_key):
             if anchor not in edges:
                 continue
@@ -162,9 +164,6 @@ def random_sparse(
                     edges.remove(victim)
                     inside.remove(victim)
                     repairs += 1
-                    removed += 1
-        if removed == 0:
-            break
     log = SparseGenLog(p, round(p * binomial(n, r)), sampled, repairs, len(edges))
     return Hypergraph(r, n, frozenset(edges)), log
 

@@ -1,18 +1,21 @@
 """Uniform hypergraph values plus induced-subgraph queries and file I/O.
 
-Subset scans here are exhaustive and budget-checked; exceeding a budget is
-an error, never a silent approximation.  complete and complement enumerate
-all C(n, r) r-sets without a cap.
+Every induced-count query (spectrum, the sparsity check, and
+oracle.graph_arrows) runs on one private kernel, _scan: a depth-first
+search over the m-subsets that carries the counts of each prefix forward,
+so the last vertex of an m-subset costs one list read instead of C(m, r)
+r-set lookups.  Subset scans are exhaustive and budget-checked; exceeding a
+budget is an error, never a silent approximation.  complete and complement
+enumerate all C(n, r) r-sets without a cap.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .combinatorics import binomial, colex_key
+from .combinatorics import binomial
 from .errors import BudgetExceededError
 
 SPECTRUM_CAP = 10_000_000
@@ -124,6 +127,95 @@ class Spectrum:
         return sum(self.counts.values())
 
 
+def _scan(
+    edges: Collection[tuple[int, ...]], n: int, r: int, m: int, limit: int | None = None
+) -> dict[int, int] | tuple[int, ...] | None:
+    """Induced edge counts of the m-subsets of range(n), for 2 <= r <= m <= n.
+
+    Without a limit, the histogram {count: number of m-subsets}, keys in
+    increasing order.  With a limit, the lexicographically first m-subset
+    inducing more than limit edges, or None when there is none; a prefix
+    that already induces more than limit edges ends the scan at once.
+
+    A depth-first search over sorted prefixes P, in lexicographic order.
+    Level j of P holds, for each j-set T above max(P), the number of
+    (r - j)-subsets Q of P for which Q | T is an edge.  Only the top j
+    vertices of an edge can form such a T, so levels j >= 2 are tables over
+    edge suffixes; level 1 is indexed by vertex.  Extending P by y adds
+    level 1 at y to the count of P, and level j + 1 at {y} | T to level j at
+    T.  The last vertex of an m-subset therefore costs one read of level 1.
+    Levels 1..top are tables, top = max(1, r - 2).  Level top + 1 is a
+    popcount: the link bitmask of an (r - 1)-set (the lowest vertices of the
+    edges through it) against the bitmask of P.
+    """
+    top = max(1, r - 2)
+    link: dict[tuple[int, ...], int] = {}
+    for e in edges:
+        # for r = 2 the key is the edge and the bit its first vertex y, which
+        # the bitmask of P | {y} holds, so the popcount is the edge indicator
+        key = e[r - top - 1:]
+        link[key] = link.get(key, 0) | 1 << e[0]
+    slot: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+    for key in link:
+        for j in range(2, top + 1):
+            slot[j].setdefault(key[-j:], len(slot[j]))
+
+    def index(j: int, key: tuple[int, ...]) -> int:
+        return key[0] if j == 1 else slot[j][key]
+
+    # feed[j][y]: (index at level j, index at level j + 1 or link bits) of
+    # the suffixes that start at y
+    feed: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(top + 1)]
+    for j in range(1, top):
+        for key, k in slot[j + 1].items():
+            feed[j][key[0]].append((index(j, key[1:]), k))
+    for key, bits in link.items():
+        feed[top][key[0]].append((index(top, key[1:]), bits))
+    hist = [0] * (len(edges) + 1)  # no m-subset induces more edges than there are
+    # one frame per prefix vertex: [max(P), count, bitmask, levels, next y]
+    frames = [[-1, 0, 0, [[0] * n] + [[0] * len(slot[j]) for j in range(2, top + 1)], 0]]
+    while frames:
+        d = len(frames) - 1
+        last, c, mask, tables, start = frames[-1]
+        stop = n - m + d + 1  # a larger y leaves too few vertices above it
+        leaf = d == m - 2  # the children's children are whole m-subsets
+        levels = range(1, min(top, m - d - 1) + 1)  # the levels children need
+        level1 = tables[0]
+        for y in range(start, stop):
+            c2 = c + level1[y]
+            if limit is not None and c2 > limit:
+                return (*(f[0] for f in frames[1:]), *range(y, y + m - d))
+            mask2 = mask | 1 << y
+            tables2 = []
+            for j in levels:
+                table = tables[j - 1][:]
+                if j < top:
+                    above = tables[j]
+                    for s, k in feed[j][y]:
+                        table[s] += above[k]
+                else:
+                    for s, bits in feed[j][y]:
+                        table[s] += (bits & mask2).bit_count()
+                tables2.append(table)
+            if leaf:
+                row = tables2[0][y + 1:]
+                if limit is None:
+                    for a in row:
+                        hist[c2 + a] += 1
+                elif c2 + max(row) > limit:
+                    t = next(t for t, a in enumerate(row) if c2 + a > limit)
+                    return (*(f[0] for f in frames[1:]), y, y + 1 + t)
+                continue
+            frames[-1][4] = y + 1
+            frames.append([y, c2, mask2, tables2, y + 1])
+            break
+        else:
+            frames.pop()
+    if limit is not None:
+        return None
+    return {k: v for k, v in enumerate(hist) if v}
+
+
 def spectrum(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> Spectrum:
     """Exact induced-size histogram over all C(n, m) subsets of size m."""
     if not 0 <= m <= g.n:
@@ -133,45 +225,23 @@ def spectrum(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> Spectrum:
         raise BudgetExceededError(
             f"spectrum needs C({g.n},{m}) = {subsets} subset scans, above the cap of {cap}"
         )
-    es = g.edges
-    r = g.r
-    counts: Counter[int] = Counter()
-    if m < r:
-        counts[0] = subsets
-        return Spectrum(m, dict(counts))
-    for s in combinations(range(g.n), m):
-        c = 0
-        for t in combinations(s, r):
-            if t in es:
-                c += 1
-        counts[c] += 1
-    return Spectrum(m, dict(counts))
+    if m < g.r:
+        return Spectrum(m, {0: subsets})
+    return Spectrum(m, _scan(g.edges, g.n, g.r, m))
 
 
 def _first_violation(
-    edges: frozenset[tuple[int, ...]], n: int, r: int, m: int, limit: int
+    edges: Collection[tuple[int, ...]], n: int, r: int, m: int, limit: int
 ) -> tuple[int, ...] | None:
-    """First m-subset (in edge-anchored scan order) inducing > limit edges.
+    """Some m-subset of range(n) inducing more than limit edges, or None.
 
-    Any violating subset induces at least one edge since limit >= 0, so
-    anchoring the scan at each edge is exhaustive while skipping the vast
-    majority of empty subsets.
+    The scan stops at the first such subset, and at the first prefix that
+    already induces more than limit edges.  edges is only read, so a caller
+    may pass the mutable set it is repairing.
     """
-    if m < r:
+    if not r <= m <= n:
         return None
-    spare = m - r
-    for anchor in sorted(edges, key=colex_key):
-        inside = set(anchor)
-        others = [v for v in range(n) if v not in inside]
-        for ext in combinations(others, spare):
-            s = tuple(sorted(anchor + ext))
-            c = 0
-            for t in combinations(s, r):
-                if t in edges:
-                    c += 1
-                    if c > limit:
-                        return s
-    return None
+    return _scan(edges, n, r, m, limit)
 
 
 def is_sparse(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> bool:

@@ -16,7 +16,7 @@ from itertools import combinations
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import BudgetExceededError
-from .hypergraph import SPECTRUM_CAP, Hypergraph, complement, hypergraph, spectrum
+from .hypergraph import SPECTRUM_CAP, Hypergraph, _first_violation, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "PAIRSET_BUDGET"
@@ -49,18 +49,9 @@ def graph_arrows(g: Hypergraph, m: int, f: int, *, cap: int = SPECTRUM_CAP) -> b
         raise BudgetExceededError(
             f"arrowing check needs C({g.n},{m}) = {binomial(g.n, m)} subset scans, above the cap of {cap}"
         )
-    es = g.edges
-    r = g.r
-    if m < r:
-        return f == 0 and binomial(g.n, m) > 0
-    for s in combinations(range(g.n), m):
-        c = 0
-        for t in combinations(s, r):
-            if t in es:
-                c += 1
-        if c == f:
-            return True
-    return False
+    if m >= g.r and f == binomial(m, g.r):  # no m-subset exceeds f, so stop at the first hit
+        return _first_violation(g.edges, g.n, g.r, m, f - 1) is not None
+    return f in spectrum(g, m, cap=cap).counts
 
 
 def pair_arrows(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pairset import cli
 from pairset.cli import main
 from pairset.hypergraph import parse
 
@@ -145,6 +146,29 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "avoid", "--r", "3", "--m", "2", "--f", "0")
     assert code == 1
     assert "error" in err
+
+
+def test_parser_reused_after_usage_errors(capsys):
+    # main builds its parser once per process; a usage error must leave
+    # nothing behind that changes the next call
+    calls = [
+        ("nonsense",),
+        ("--format", "json", "bounds", "--r", "3", "--m", "6", "--f", "10"),
+        ("oracle", "arrows", "--n", "5", "--e", "7", "--r", "3", "--m", "4"),
+        ("oracle", "arrows", "--n", "5", "--e", "7", "--r", "3", "--m", "4", "--f", "4"),
+        ("construct", "realize", "--kind", "bogus", "--n", "9", "--e", "0", "--r", "3", "--m", "5"),
+        ("classify", "--r", "three", "--m-max", "8"),
+        ("classify", "--r", "3", "--m-max", "8", "--strict"),
+        ("--format", "json", "avoid", "--r", "3", "--m", "12", "--f", "110"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0, 1, 1, 0, 0]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert cli._parser() is cli._parser()
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,7 +1,8 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial
@@ -10,6 +11,7 @@ from pairset.errors import BudgetExceededError
 from pairset.hypergraph import (
     Hypergraph,
     ParseError,
+    _first_violation,
     complement,
     complete,
     disjoint_union,
@@ -20,6 +22,7 @@ from pairset.hypergraph import (
     serialize,
     spectrum,
 )
+from pairset.oracle import graph_arrows
 
 
 @st.composite
@@ -124,6 +127,52 @@ def test_induced_commutes_with_complement(g, data):
     k = data.draw(st.integers(min_value=0, max_value=g.n))
     s = data.draw(st.permutations(range(g.n)))[:k]
     assert induced(complement(g), s) == complement(induced(g, s))
+
+
+def reference_counts(g, m):
+    """Induced edge count of every m-subset, in lexicographic order.
+
+    The plain loop over C(n, m) * C(m, r) r-set lookups: the one reference
+    that the induced-count kernel behind spectrum, graph_arrows and the
+    sparsity check is tested against.
+    """
+    return [sum(t in g.edges for t in combinations(s, g.r)) for s in combinations(range(g.n), m)]
+
+
+@st.composite
+def scan_cases(draw):
+    r = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(min_value=0, max_value=9))
+    slots = list(combinations(range(n), r))
+    kind = draw(st.sampled_from(["empty", "complete", "random"]))
+    if kind == "random":
+        keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+        slots = [t for t, k in zip(slots, keep) if k]
+    elif kind == "empty":
+        slots = []
+    m = draw(st.integers(min_value=0, max_value=n))
+    return hypergraph(r, n, slots), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+@example((hypergraph(3, 0, []), 0))
+@example((complete(9, 5), 9))
+@example((complete(8, 4), 3))
+@example((hypergraph(2, 9, [(0, 8), (3, 4)]), 9))
+def test_scan_kernel_matches_reference(case):
+    g, m = case
+    counts = reference_counts(g, m)
+    assert spectrum(g, m).counts == Counter(counts)
+    for f in range(binomial(m, g.r) + 1):
+        assert graph_arrows(g, m, f) == (f in counts)
+        found = _first_violation(g.edges, g.n, g.r, m, f)
+        if max(counts) <= f:
+            assert found is None
+        else:
+            assert found is not None
+            assert len(found) == m and list(found) == sorted(set(found)) and set(found) <= set(range(g.n))
+            assert sum(t in g.edges for t in combinations(found, g.r)) > f
 
 
 def test_is_sparse_examples():
