@@ -171,7 +171,8 @@ def _scan(
             feed[j][key[0]].append((index(j, key[1:]), k))
     for key, bits in link.items():
         feed[top][key[0]].append((index(top, key[1:]), bits))
-    hist = [0] * (len(edges) + 1)  # no m-subset induces more edges than there are
+    # no m-subset induces more edges than there are
+    hist = [0] * (len(edges) + 1) if limit is None else None
     # one frame per prefix vertex: [max(P), count, bitmask, levels, next y]
     frames = [[-1, 0, 0, [[0] * n] + [[0] * len(slot[j]) for j in range(2, top + 1)], 0]]
     while frames:
