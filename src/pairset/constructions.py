@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, pairwise, product
 
 from .combinatorics import (
     binomial,
@@ -16,10 +16,10 @@ from .combinatorics import (
     colex_key,
     partite_sizes,
     subsets_colex,
+    turan_count,
 )
-from .errors import BudgetExceededError
+from .errors import charge
 from .hypergraph import (
-    SPECTRUM_CAP,
     Hypergraph,
     _first_violation,
     complement,
@@ -30,8 +30,6 @@ from .hypergraph import (
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
 BASE_TIGHT_CYCLE = "tight-5-cycle"
-
-BLOWUP_VERTEX_CAP = 243
 
 # copies per level and which copy-triples receive transversal edges
 _BLOWUP_BASES = {
@@ -50,6 +48,13 @@ class BlowupSpec:
             raise ValueError(f"unknown blow-up base {self.base!r}; choose from {sorted(_BLOWUP_BASES)}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the blow-up, without building it: the recurrence
+        count' = copies * count + joins * n**3, n = copies**level, solved."""
+        c, joins = _BLOWUP_BASES[self.base]
+        return len(joins) * c ** (self.depth - 1) * (c ** (2 * self.depth) - 1) // (c**2 - 1)
 
 
 @dataclass(frozen=True)
@@ -89,27 +94,22 @@ class SparseGenLog:
 
 
 def turan_graph(n: int, l: int, r: int) -> Hypergraph:
-    """Balanced complete l-partite r-graph on n vertices."""
+    """Balanced complete l-partite r-graph on n vertices, built as products
+    of r parts; the parts are consecutive ranges, so each tuple is increasing."""
     if l < 1:
         raise ValueError(f"part count must be >= 1, got {l}")
-    sizes = partite_sizes(n, l)
-    part_of = []
-    for i, s in enumerate(sizes):
-        part_of.extend([i] * s)
-    edges = (
-        t for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r
-    )
+    charge(turan_count(n, l, r), f"turan_graph({n}, {l}, {r}) edges")
+    ends = list(accumulate(partite_sizes(n, l), initial=0))
+    parts = [range(a, b) for a, b in pairwise(ends) if b > a]
+    edges = (t for chosen in combinations(parts, r) for t in product(*chosen))
     return Hypergraph(r, n, frozenset(edges))
 
 
-def iterated_blowup(spec: BlowupSpec, *, max_vertices: int = BLOWUP_VERTEX_CAP) -> Hypergraph:
+def iterated_blowup(spec: BlowupSpec) -> Hypergraph:
     """Repeatedly replace every vertex by a copy of the previous level and
     join designated copy-triples by all transversal edges."""
     copies, join_triples = _BLOWUP_BASES[spec.base]
-    if copies**spec.depth > max_vertices:
-        raise BudgetExceededError(
-            f"depth {spec.depth} blow-up has {copies**spec.depth} vertices, above the cap of {max_vertices}"
-        )
+    charge(spec.edge_count, f"depth {spec.depth} {spec.base} blow-up edges")
     n = 1
     edges: list[tuple[int, ...]] = []
     for _ in range(spec.depth):
@@ -125,9 +125,7 @@ def iterated_blowup(spec: BlowupSpec, *, max_vertices: int = BLOWUP_VERTEX_CAP) 
     return Hypergraph(3, n, frozenset(edges))
 
 
-def random_sparse(
-    config: SparseGenConfig, *, cap: int = SPECTRUM_CAP
-) -> tuple[Hypergraph, SparseGenLog]:
+def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     """Sample-then-repair generator for graphs whose every m-set stays at or
     below the configured edge limit.
 
@@ -140,10 +138,8 @@ def random_sparse(
     fully determined by the seed.
     """
     n, r, m = config.n, config.r, config.m
-    if binomial(n, m) > cap:
-        raise BudgetExceededError(
-            f"cannot verify sparsity: C({n},{m}) = {binomial(n, m)} subset scans exceed the cap of {cap}"
-        )
+    charge(binomial(n, r), f"sampling C({n},{r}) r-sets")
+    charge(binomial(n, m), f"sparsity check over C({n},{m}) subsets")
     p = min(1.0, float(config.density_constant) * n ** (-m / (config.edge_limit + 1)))
     rng = random.Random(config.seed)
     edges = {t for t in subsets_colex(n, r) if rng.random() < p}
@@ -175,8 +171,6 @@ def realize_clique_plus_sparse(
     m: int,
     *,
     seed: int = 0,
-    density_cap: Fraction = Fraction(1, 2),
-    cap: int = SPECTRUM_CAP,
 ) -> Hypergraph:
     """A graph on exactly n vertices and e edges that is the vertex disjoint
     union of a complete graph and a verified m-sparse graph.
@@ -189,13 +183,15 @@ def realize_clique_plus_sparse(
         raise ValueError(f"need m >= r >= 2, got m={m}, r={r}")
     if e < 0:
         raise ValueError(f"edge count must be >= 0, got {e}")
-    if e > density_cap * binomial(n, r):
+    if 2 * e > binomial(n, r):
         raise ValueError(
-            f"e={e} exceeds the density cap {density_cap} * C({n},{r}) = "
-            f"{density_cap * binomial(n, r)}; realize the complement instead"
+            f"e={e} exceeds the density cap 1/2 * C({n},{r}) = "
+            f"{Fraction(binomial(n, r), 2)}; realize the complement instead"
         )
     k, h = binomial_decompose(e, r)
-    k = min(k, n)  # k = r - 1 cliques are edgeless; never exceeds n under the cap
+    # e = 0 gives the edgeless k = r - 1, which may exceed a tiny n; any other
+    # k has C(k, r) <= e <= C(n, r) / 2, so k < n
+    k = min(k, n)
     if h == 0:
         return disjoint_pad(complete(k, r), n)
     v = n - k
@@ -211,7 +207,7 @@ def realize_clique_plus_sparse(
     c = Fraction(1, 4)
     for _ in range(4):
         config = SparseGenConfig(v, r, m, seed, density_constant=c)
-        sparse, _log = random_sparse(config, cap=cap)
+        sparse, _log = random_sparse(config)
         attempts.append(sparse.edge_count)
         if sparse.edge_count >= h:
             chosen = sorted(sparse.edges, key=colex_key)[:h]
@@ -240,8 +236,6 @@ def realize_complement_sparse(
     m: int,
     *,
     seed: int = 0,
-    density_cap: Fraction = Fraction(1, 2),
-    cap: int = SPECTRUM_CAP,
 ) -> Hypergraph:
     """A graph on n vertices and e edges whose complement is the disjoint
     union of a complete graph and a verified m-sparse graph.
@@ -252,10 +246,6 @@ def realize_complement_sparse(
     total = binomial(n, r)
     if not 0 <= e <= total:
         raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {total}], got {e}")
-    if total - e > density_cap * total:
-        raise ValueError(
-            f"e={e} is below (1 - {density_cap}) * C({n},{r}); realize the pair directly instead"
-        )
-    return complement(
-        realize_clique_plus_sparse(n, total - e, r, m, seed=seed, density_cap=density_cap, cap=cap)
-    )
+    if 2 * (total - e) > total:
+        raise ValueError(f"e={e} is below (1 - 1/2) * C({n},{r}); realize the pair directly instead")
+    return complement(realize_clique_plus_sparse(n, total - e, r, m, seed=seed))

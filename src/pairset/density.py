@@ -26,6 +26,7 @@ CASE_ZERO = "zero-certificate"
 CASE_ONE_SIDED = "one-sided"
 CASE_TWO_SIDED = "two-sided"
 CASE_TRIVIAL = "trivial"
+STABLE_HORIZON = 1000  # stable_part_threshold looks no further
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,15 @@ class BoundRow:
     two_sided: bool
 
 
-def stable_part_threshold(r: int, l: int, *, horizon: int = 1000) -> int:
-    """Smallest order from which every order up to the horizon admits at
+def stable_part_threshold(r: int, l: int) -> int:
+    """Smallest order from which every order up to STABLE_HORIZON admits at
     least l balanced parts below half density."""
     last_bad = r  # orders <= r are out of domain
-    for m in range(r + 1, horizon + 1):
+    for m in range(r + 1, STABLE_HORIZON + 1):
         if max_parts_below_half(m, r) < l:
             last_bad = m
-    if last_bad >= horizon:
-        raise ValueError(f"no stable threshold for l={l} below the horizon {horizon}")
+    if last_bad >= STABLE_HORIZON:
+        raise ValueError(f"no stable threshold for l={l} below the horizon {STABLE_HORIZON}")
     return last_bad + 1
 
 

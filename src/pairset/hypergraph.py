@@ -4,9 +4,9 @@ Every induced-count query (spectrum, the sparsity check, and
 oracle.graph_arrows) runs on one private kernel, _scan: a depth-first
 search over the m-subsets that carries the counts of each prefix forward,
 so the last vertex of an m-subset costs one list read instead of C(m, r)
-r-set lookups.  Subset scans are exhaustive and budget-checked; exceeding a
-budget is an error, never a silent approximation.  complete and complement
-enumerate all C(n, r) r-sets without a cap.
+r-set lookups.  Every enumeration here, the subset scans and the r-set
+enumerations of complete and complement, is exhaustive and first charges
+its whole size to errors.charge, so it refuses rather than approximates.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from itertools import combinations
 from typing import Collection, Iterable, Sequence
 
 from .combinatorics import binomial
-from .errors import BudgetExceededError
-
-SPECTRUM_CAP = 10_000_000
+from .errors import charge
 
 
 class ParseError(ValueError):
@@ -75,11 +73,13 @@ def hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph on n vertices (empty when n < r)."""
+    charge(binomial(n, r), f"complete over C({n},{r}) r-sets")
     return Hypergraph(r, n, frozenset(combinations(range(n), r)))
 
 
 def complement(g: Hypergraph) -> Hypergraph:
     """Same vertices; edge set is all r-subsets not in g."""
+    charge(binomial(g.n, g.r), f"complement over C({g.n},{g.r}) r-sets")
     missing = frozenset(t for t in combinations(range(g.n), g.r) if t not in g.edges)
     return Hypergraph(g.r, g.n, missing)
 
@@ -217,15 +217,12 @@ def _scan(
     return {k: v for k, v in enumerate(hist) if v}
 
 
-def spectrum(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> Spectrum:
+def spectrum(g: Hypergraph, m: int) -> Spectrum:
     """Exact induced-size histogram over all C(n, m) subsets of size m."""
     if not 0 <= m <= g.n:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
     subsets = binomial(g.n, m)
-    if subsets > cap:
-        raise BudgetExceededError(
-            f"spectrum needs C({g.n},{m}) = {subsets} subset scans, above the cap of {cap}"
-        )
+    charge(subsets, f"spectrum over C({g.n},{m}) subsets")
     if m < g.r:
         return Spectrum(m, {0: subsets})
     return Spectrum(m, _scan(g.edges, g.n, g.r, m))
@@ -245,16 +242,13 @@ def _first_violation(
     return _scan(edges, n, r, m, limit)
 
 
-def is_sparse(g: Hypergraph, m: int, *, cap: int = SPECTRUM_CAP) -> bool:
+def is_sparse(g: Hypergraph, m: int) -> bool:
     """True iff every m-vertex subset induces at most m edges."""
     if m < 0:
         raise ValueError(f"subset order must be >= 0, got {m}")
     if m > g.n:
         return True
-    if binomial(g.n, m) > cap:
-        raise BudgetExceededError(
-            f"sparsity check needs C({g.n},{m}) = {binomial(g.n, m)} subset scans, above the cap of {cap}"
-        )
+    charge(binomial(g.n, m), f"sparsity check over C({g.n},{m}) subsets")
     return _first_violation(g.edges, g.n, g.r, m, m) is None
 
 

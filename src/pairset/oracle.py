@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
-from .errors import BudgetExceededError
-from .hypergraph import SPECTRUM_CAP, Hypergraph, _first_violation, complement, hypergraph, spectrum
+from .errors import charge
+from .hypergraph import Hypergraph, _first_violation, _scan, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "PAIRSET_BUDGET"
@@ -39,19 +39,16 @@ class ArrowVerdict:
     graphs_examined: int
 
 
-def graph_arrows(g: Hypergraph, m: int, f: int, *, cap: int = SPECTRUM_CAP) -> bool:
+def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
     """True iff some m-subset of g induces exactly f edges."""
     if not 0 <= m <= g.n:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
     if not 0 <= f <= binomial(m, g.r):
         raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
-    if binomial(g.n, m) > cap:
-        raise BudgetExceededError(
-            f"arrowing check needs C({g.n},{m}) = {binomial(g.n, m)} subset scans, above the cap of {cap}"
-        )
+    charge(binomial(g.n, m), f"arrowing check over C({g.n},{m}) subsets")
     if m >= g.r and f == binomial(m, g.r):  # no m-subset exceeds f, so stop at the first hit
         return _first_violation(g.edges, g.n, g.r, m, f - 1) is not None
-    return f in spectrum(g, m, cap=cap).counts
+    return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
 
 
 def pair_arrows(
@@ -71,13 +68,8 @@ def pair_arrows(
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
-    cost = binomial(slots, e) * max(1, binomial(n, m))
-    allowed = resolve_budget(budget)
-    if cost > allowed:
-        raise BudgetExceededError(
-            f"pair_arrows needs {cost} elementary checks, above the budget of {allowed}; "
-            f"raise it explicitly (--budget or {BUDGET_ENV_VAR}) to proceed"
-        )
+    charge(binomial(slots, e) * max(1, binomial(n, m)),
+           f"pair_arrows (raise the budget with --budget or {BUDGET_ENV_VAR})", resolve_budget(budget))
     rsets = list(subsets_colex(n, r))
     masks = []
     rank = {s: i for i, s in enumerate(rsets)}
@@ -110,11 +102,8 @@ def non_arrowing_sizes(
     """All edge counts e for which (n, e) fails to arrow (m, f)."""
     slots = binomial(n, r)
     allowed = resolve_budget(budget)
-    total_cost = (2**slots) * max(1, binomial(n, m))
-    if total_cost > allowed:
-        raise BudgetExceededError(
-            f"sweeping all sizes needs {total_cost} elementary checks, above the budget of {allowed}"
-        )
+    charge((2**slots) * max(1, binomial(n, m)),
+           f"sweeping all sizes (raise the budget with --budget or {BUDGET_ENV_VAR})", allowed)
     return {
         e
         for e in range(slots + 1)
@@ -140,7 +129,7 @@ class BlowupReport:
     note: str
 
 
-def verify_blowup_claims(depth: int, *, cap: int = SPECTRUM_CAP) -> BlowupReport:
+def verify_blowup_claims(depth: int) -> BlowupReport:
     """Check the iterated triple blow-up at this depth: its exact density,
     the exhaustive maximum over induced 6-set sizes, the complementary
     minimum, and the derived intervals of edge counts that cannot arrow
@@ -154,8 +143,8 @@ def verify_blowup_claims(depth: int, *, cap: int = SPECTRUM_CAP) -> BlowupReport
             None, None, None, None, 0, 0,
             f"degenerate: only {g.n} vertices, no 6-subsets to scan",
         )
-    sp = spectrum(g, 6, cap=cap)
-    spc = spectrum(complement(g), 6, cap=cap)
+    sp = spectrum(g, 6)
+    spc = spectrum(complement(g), 6)
     mx = sp.max
     mn = spc.min
     low = (0, g.edge_count) if mx < 10 else None

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,15 @@ def test_oracle_budget_exit_code(capsys):
     )
     assert code == 2
     assert "budget refusal" in err
+
+
+def test_construct_turan_refuses_at_once(capsys):
+    # without --out the graph would go to stdout
+    started = time.perf_counter()
+    code, out, err = run(capsys, "construct", "turan", "--n", "100000", "--l", "3", "--r", "3")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("budget refusal:")
 
 
 def test_oracle_blowup_verify(capsys):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from pairset.combinatorics import binomial, colex_key, turan_count
+from pairset.combinatorics import binomial, colex_key, partite_sizes, turan_count
 from pairset.constructions import (
     BASE_SINGLE_EDGE,
     BASE_TIGHT_CYCLE,
@@ -18,8 +18,24 @@ from pairset.constructions import (
     turan_graph,
 )
 from pairset.errors import BudgetExceededError
-from pairset.hypergraph import complement, complete, induced, is_sparse, serialize, spectrum
+from pairset.hypergraph import Hypergraph, complement, complete, induced, is_sparse, serialize, spectrum
 from pairset.oracle import graph_arrows
+
+
+def reference_turan_edges(n, l, r):
+    """The r-sets of range(n) that meet r distinct balanced parts: the
+    filter over all C(n, r) r-sets that turan_graph is tested against."""
+    part_of = []
+    for i, s in enumerate(partite_sizes(n, l)):
+        part_of.extend([i] * s)
+    return {t for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r}
+
+
+def test_turan_graph_matches_reference():
+    for n in range(0, 13):
+        for l in range(1, 8):
+            for r in range(2, 6):
+                assert turan_graph(n, l, r).edges == reference_turan_edges(n, l, r), (n, l, r)
 
 
 def test_turan_graph_counts():
@@ -64,10 +80,25 @@ def test_blowup_density_approaches_a_quarter_from_above():
 def test_blowup_budget():
     with pytest.raises(BudgetExceededError):
         iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 6))
+    with pytest.raises(BudgetExceededError):
+        iterated_blowup(BlowupSpec(BASE_TIGHT_CYCLE, 4))
     with pytest.raises(ValueError):
         BlowupSpec("unknown", 2)
     with pytest.raises(ValueError):
         BlowupSpec(BASE_SINGLE_EDGE, 0)
+
+
+def test_blowup_edge_count_closed_form():
+    # the closed form that iterated_blowup charges before it builds any edge
+    for base, depths in ((BASE_SINGLE_EDGE, range(1, 5)), (BASE_TIGHT_CYCLE, range(1, 4))):
+        for depth in depths:
+            spec = BlowupSpec(base, depth)
+            assert spec.edge_count == iterated_blowup(spec).edge_count
+    # on either side of the work cap of 10**7 edges
+    assert BlowupSpec(BASE_SINGLE_EDGE, 5).edge_count == 597_861
+    assert BlowupSpec(BASE_SINGLE_EDGE, 6).edge_count == 16_142_490
+    assert BlowupSpec(BASE_TIGHT_CYCLE, 3).edge_count == 81_375
+    assert BlowupSpec(BASE_TIGHT_CYCLE, 4).edge_count == 10_172_500
 
 
 def test_tight_cycle_blowup():
@@ -119,6 +150,18 @@ def test_random_sparse_validation():
         SparseGenConfig(5, 3, 6, seed=0)  # n must exceed m
     with pytest.raises(BudgetExceededError):
         random_sparse(SparseGenConfig(60, 3, 20, seed=0))
+
+
+def test_enumerations_refuse_before_enumerating():
+    with pytest.raises(BudgetExceededError):
+        complete(10**5, 3)
+    with pytest.raises(BudgetExceededError):
+        complement(Hypergraph(3, 10**5, frozenset()))
+    with pytest.raises(BudgetExceededError):
+        turan_graph(10**5, 3, 3)
+    # C(60, 59) = 60 subsets would pass; sampling C(60, 30) r-sets must not
+    with pytest.raises(BudgetExceededError):
+        random_sparse(SparseGenConfig(60, 30, 59, 0))
 
 
 def test_realize_exact_clique_sizes():

@@ -105,8 +105,9 @@ def test_spectrum_validation_and_cap():
     g = complete(6, 3)
     with pytest.raises(ValueError):
         spectrum(g, 7)
+    # C(400, 3) = 10,586,800 subsets, above the work cap of 10**7
     with pytest.raises(BudgetExceededError):
-        spectrum(g, 3, cap=5)
+        spectrum(hypergraph(3, 400, []), 3)
 
 
 @settings(max_examples=60, deadline=None)
