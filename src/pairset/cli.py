@@ -183,7 +183,6 @@ def _blowup(args) -> None:
 def _sparse(args) -> None:
     config = constructions.SparseGenConfig(
         args.n, args.r, args.m, args.seed,
-        target_f=args.target_f,
         density_constant=Fraction(args.constant) if args.constant else Fraction(1, 4),
     )
     g, log = constructions.random_sparse(config)
@@ -297,8 +296,9 @@ def build_parser() -> _Parser:
                  help="sweep the positive-density candidate filter")
     p.add_argument("--strict", action="store_true", help="use the open residual window")
     p = _command(sub, "bounds", _bounds, _bounds_text, "r", "m", help="density upper bounds")
-    p.add_argument("--f", type=int, default=None)
-    p.add_argument("--bracket", action="store_true", help="clique Turan density bracket instead")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--f", type=int, default=None)
+    which.add_argument("--bracket", action="store_true", help="clique Turan density bracket instead")
 
     p = sub.add_parser("construct", help="build a graph family member and write it out")
     fam = p.add_subparsers(dest="family", required=True)
@@ -312,7 +312,6 @@ def build_parser() -> _Parser:
     blowup.add_argument("--depth", type=int, required=True)
     sparse = _command(fam, "sparse", _sparse, None, "n", "r", "m")
     sparse.add_argument("--seed", type=int, default=0)
-    sparse.add_argument("--target-f", dest="target_f", type=int, default=None)
     sparse.add_argument("--constant", help="density constant as p/q")
     realize = _command(fam, "realize", _realize, None, "n", "e", "r", "m")
     realize.add_argument("--kind", choices=("clique-plus-sparse", "complement-sparse"),

@@ -103,11 +103,6 @@ def colex_key(subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(subset))
 
 
-def colex_rank(subset: tuple[int, ...]) -> int:
-    """Rank of a strictly increasing subset in colex order."""
-    return sum(binomial(v, i + 1) for i, v in enumerate(subset))
-
-
 def subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets of range(n) in colex order; position equals colex rank."""
     if k == 0:

@@ -63,7 +63,6 @@ class SparseGenConfig:
     r: int
     m: int
     seed: int
-    target_f: int | None = None  # per-m-set edge count must stay below this; defaults to m + 1
     density_constant: Fraction = Fraction(1, 4)
 
     def __post_init__(self) -> None:
@@ -71,15 +70,8 @@ class SparseGenConfig:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if not self.n > self.m >= self.r:
             raise ValueError(f"need n > m >= r, got n={self.n}, m={self.m}, r={self.r}")
-        if self.target_f is not None and self.target_f < 1:
-            raise ValueError(f"target_f must be >= 1, got {self.target_f}")
         if self.density_constant <= 0:
             raise ValueError("density_constant must be positive")
-
-    @property
-    def edge_limit(self) -> int:
-        """Largest induced edge count any m-set is allowed to keep."""
-        return (self.target_f if self.target_f is not None else self.m + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -119,15 +111,16 @@ def iterated_blowup(spec: BlowupSpec) -> Hypergraph:
             nxt.extend(tuple(v + off for v in e) for e in edges)
         for (a, b, c) in join_triples:
             for va, vb, vc in product(range(n), repeat=3):
-                nxt.append(tuple(sorted((a * n + va, b * n + vb, c * n + vc))))
+                # a < b < c and every v < n, so the triple is already increasing
+                nxt.append((a * n + va, b * n + vb, c * n + vc))
         edges = nxt
         n *= copies
     return Hypergraph(3, n, frozenset(edges))
 
 
 def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
-    """Sample-then-repair generator for graphs whose every m-set stays at or
-    below the configured edge limit.
+    """Sample-then-repair generator for m-sparse graphs: every m-set keeps at
+    most m edges.
 
     Each r-set is kept independently with probability derived from the
     density constant.  If the sparsity check finds a violating m-set, one
@@ -140,13 +133,15 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     n, r, m = config.n, config.r, config.m
     charge(binomial(n, r), f"sampling C({n},{r}) r-sets")
     charge(binomial(n, m), f"sparsity check over C({n},{m}) subsets")
-    p = min(1.0, float(config.density_constant) * n ** (-m / (config.edge_limit + 1)))
+    p = min(1.0, float(config.density_constant) * n ** (-m / (m + 1)))
     rng = random.Random(config.seed)
     edges = {t for t in subsets_colex(n, r) if rng.random() < p}
     sampled = len(edges)
-    limit = config.edge_limit
     repairs = 0
-    while _first_violation(edges, n, r, m, limit) is not None:
+    while _first_violation(edges, n, r, m, m) is not None:
+        # the pass visits the C(n - r, m - r) m-sets through each edge
+        charge(len(edges) * binomial(n - r, m - r),
+               f"repair pass over {len(edges)} x C({n - r},{m - r}) m-sets")
         for anchor in sorted(edges, key=colex_key):
             if anchor not in edges:
                 continue
@@ -155,7 +150,7 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
             for ext in combinations(others, m - r):
                 s = tuple(sorted(anchor + ext))
                 inside = [t for t in combinations(s, r) if t in edges]
-                while len(inside) > limit:
+                while len(inside) > m:
                     victim = min(inside, key=colex_key)
                     edges.remove(victim)
                     inside.remove(victim)
@@ -193,7 +188,7 @@ def realize_clique_plus_sparse(
     # k has C(k, r) <= e <= C(n, r) / 2, so k < n
     k = min(k, n)
     if h == 0:
-        return disjoint_pad(complete(k, r), n)
+        return Hypergraph(r, n, complete(k, r).edges)  # the clique plus isolated vertices
     v = n - k
     if v < r:
         raise ValueError(
@@ -220,13 +215,6 @@ def realize_clique_plus_sparse(
         f"infeasible: sparse generator supplied at most {max(attempts)} m-sparse edges "
         f"on {v} vertices but {h} are required (n={n}, e={e}, r={r}, m={m})"
     )
-
-
-def disjoint_pad(g: Hypergraph, n: int) -> Hypergraph:
-    """g plus isolated vertices up to a total of n."""
-    if n < g.n:
-        raise ValueError(f"cannot pad {g.n} vertices down to {n}")
-    return Hypergraph(g.r, n, g.edges)
 
 
 def realize_complement_sparse(

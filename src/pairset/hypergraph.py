@@ -56,9 +56,6 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[int, ...]]:
-        return sorted(self.edges)
-
 
 def hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Build a hypergraph, normalising each edge to a sorted tuple."""
@@ -255,7 +252,7 @@ def is_sparse(g: Hypergraph, m: int) -> bool:
 def serialize(g: Hypergraph) -> str:
     """Canonical text form: header line 'r n', then one edge per line."""
     lines = [f"{g.r} {g.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in g.sorted_edges())
+    lines.extend(" ".join(str(v) for v in e) for e in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,6 @@ m-subset, refusing outright when the work would exceed the configured budget.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,19 +15,14 @@ from itertools import combinations
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import charge
-from .hypergraph import Hypergraph, _first_violation, _scan, complement, hypergraph, spectrum
+from .hypergraph import Hypergraph, _scan, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "PAIRSET_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the PAIRSET_BUDGET environment variable,
-    else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    """The explicit budget (--budget on the command line), else the default."""
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 @dataclass(frozen=True)
@@ -46,8 +40,6 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
     if not 0 <= f <= binomial(m, g.r):
         raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
     charge(binomial(g.n, m), f"arrowing check over C({g.n},{m}) subsets")
-    if m >= g.r and f == binomial(m, g.r):  # no m-subset exceeds f, so stop at the first hit
-        return _first_violation(g.edges, g.n, g.r, m, f - 1) is not None
     return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
 
 
@@ -69,7 +61,7 @@ def pair_arrows(
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
     charge(binomial(slots, e) * max(1, binomial(n, m)),
-           f"pair_arrows (raise the budget with --budget or {BUDGET_ENV_VAR})", resolve_budget(budget))
+           "pair_arrows (raise the budget with --budget)", resolve_budget(budget))
     rsets = list(subsets_colex(n, r))
     masks = []
     rank = {s: i for i, s in enumerate(rsets)}
@@ -103,7 +95,7 @@ def non_arrowing_sizes(
     slots = binomial(n, r)
     allowed = resolve_budget(budget)
     charge((2**slots) * max(1, binomial(n, m)),
-           f"sweeping all sizes (raise the budget with --budget or {BUDGET_ENV_VAR})", allowed)
+           "sweeping all sizes (raise the budget with --budget)", allowed)
     return {
         e
         for e in range(slots + 1)

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -94,12 +97,18 @@ def test_oracle_budget_exit_code(capsys):
 
 
 def test_construct_turan_refuses_at_once(capsys):
-    # without --out the graph would go to stdout
-    started = time.perf_counter()
-    code, out, err = run(capsys, "construct", "turan", "--n", "100000", "--l", "3", "--r", "3")
-    assert time.perf_counter() - started < 1.0
-    assert (code, out) == (2, "")
-    assert err.startswith("budget refusal:")
+    # without --out the graph would go to stdout; the sparse case passes its
+    # sampling and check charges, and its repair pass over 2,176 sampled
+    # edges times C(42, 3) m-sets each is what refuses
+    for argv in (
+        ("construct", "turan", "--n", "100000", "--l", "3", "--r", "3"),
+        ("construct", "sparse", "--n", "45", "--r", "3", "--m", "6", "--constant", "4"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("budget refusal:")
 
 
 def test_oracle_blowup_verify(capsys):
@@ -153,6 +162,7 @@ def test_construct_realize(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "avoid", "--r", "3", "--m", "6")[0] == 1
+    assert run(capsys, "bounds", "--r", "3", "--m", "6", "--f", "10", "--bracket")[0] == 1
     code, _, err = run(capsys, "avoid", "--r", "3", "--m", "2", "--f", "0")
     assert code == 1
     assert "error" in err
@@ -260,3 +270,15 @@ def test_text_output_pinned(name, tmp_path, capsys):
     assert run(capsys, "construct", "blowup", "--depth", "2", "--out", str(path))[0] == 0
     argv = [a.format(blowup2=path) for a in argv]
     assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # in order, since spectrum reads the file that construct blowup writes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("pairset ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

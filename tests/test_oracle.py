@@ -80,12 +80,9 @@ def test_complement_duality():
             assert {top_e - e for e in na} == nb
 
 
-def test_budget_refusal_and_env(monkeypatch):
+def test_budget_refusal_and_env():
     with pytest.raises(BudgetExceededError):
         pair_arrows(9, 10, 3, 6, 4, budget=100)
-    monkeypatch.setenv("PAIRSET_BUDGET", "123")
-    assert resolve_budget() == 123
-    monkeypatch.delenv("PAIRSET_BUDGET")
     assert resolve_budget() == 100_000_000
     assert resolve_budget(7) == 7
 
