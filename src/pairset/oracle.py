@@ -4,13 +4,17 @@ A pair (n, e) arrows (m, f) when every r-graph with n vertices and e edges
 has an induced m-vertex subgraph with exactly f edges.  These routines decide
 that by enumerating every e-edge graph on n labelled vertices and every
 m-subset, refusing outright when the work would exceed the configured budget.
+pair_arrows walks the graphs depth first in colex order, carrying each
+m-subset's induced count along the prefix of fixed edges, and settles all
+graphs that differ only in their smallest edge with one bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
@@ -43,13 +47,42 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
     return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
 
 
+@lru_cache(maxsize=1)
+def _tables(n: int, r: int, m: int) -> tuple[tuple, tuple, tuple]:
+    """The r-sets of range(n) in colex order; for each m-subset, the bitmask
+    of the colex ranks of its r-sets; and for each rank, the indices of the
+    m-subsets holding that r-set.  The last (n, r, m) is kept, so the calls
+    non_arrowing_sizes makes, one per edge count, build these once."""
+    rsets = tuple(subsets_colex(n, r))
+    rank = {s: i for i, s in enumerate(rsets)}
+    masks = []
+    holders: list[list[int]] = [[] for _ in rsets]
+    for j, s in enumerate(combinations(range(n), m)):
+        word = 0
+        for t in combinations(s, r):
+            i = rank[t]
+            word |= 1 << i
+            holders[i].append(j)
+        masks.append(word)
+    return rsets, tuple(masks), tuple(map(tuple, holders))
+
+
 def pair_arrows(
     n: int, e: int, r: int, m: int, f: int, *, budget: int | None = None
 ) -> ArrowVerdict:
     """Decide whether (n, e) arrows (m, f) by exhausting every e-edge graph.
 
-    Graphs are enumerated as colex-ordered subsets of the colex-ranked edge
-    slots, so a returned counterexample is the colex-least failing edge set.
+    A graph is an e-subset of the colex ranks of the r-sets, and the graphs
+    are visited in colex order: the largest rank is fixed first and the
+    smallest varies fastest, so a returned counterexample is the colex-least
+    failing edge set.  A depth-first walk fixes all ranks but the smallest,
+    keeping each m-subset's induced count for that prefix.  Below a prefix
+    whose smallest rank is hi lie the hi graphs that add one rank i < hi; the
+    ones missing f are the set bits of AND(masks of the m-subsets at count f)
+    & ~OR(masks at count f - 1) & ((1 << hi) - 1).
+
+    graphs_examined counts the graphs up to and including the counterexample,
+    or all C(C(n, r), e) of them when there is none.
     """
     if r < 2 or n < 0:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
@@ -62,30 +95,47 @@ def pair_arrows(
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
     charge(binomial(slots, e) * max(1, binomial(n, m)),
            "pair_arrows (raise the budget with --budget)", resolve_budget(budget))
-    rsets = list(subsets_colex(n, r))
-    masks = []
-    rank = {s: i for i, s in enumerate(rsets)}
-    for s in combinations(range(n), m):
-        word = 0
-        for t in combinations(s, r):
-            word |= 1 << rank[t]
-        masks.append(word)
     query = (n, e, r, m, f)
+    if e == 0:  # one graph, and each of its m-subsets induces 0 edges
+        cex = None if f == 0 else hypergraph(r, n, ())
+        return ArrowVerdict(query, f == 0, cex, 1)
+    rsets, masks, holders = _tables(n, r, m)
+    counts = [0] * len(masks)
+    at_f, below_f = f.__eq__, (f - 1).__eq__
     examined = 0
-    for ranks in subsets_colex(slots, e):
-        bits = 0
-        for i in ranks:
-            bits |= 1 << i
-        examined += 1
-        hit = False
-        for mask in masks:
-            if (bits & mask).bit_count() == f:
-                hit = True
-                break
-        if not hit:
-            cex = hypergraph(r, n, (rsets[i] for i in ranks))
-            return ArrowVerdict(query, False, cex, examined)
-    return ArrowVerdict(query, True, None, examined)
+    prefix: list[int] = []  # the fixed ranks, largest first
+    y = e - 1  # next rank to fix; the j-th largest of e ranks is at least e - j
+    while True:
+        if len(prefix) < e - 1 and y < (prefix[-1] if prefix else slots):
+            for j in holders[y]:
+                counts[j] += 1
+            prefix.append(y)
+            y = e - 1 - len(prefix)
+            continue
+        if len(prefix) == e - 1:
+            hi = prefix[-1] if prefix else slots
+            miss = (1 << hi) - 1
+            # the AND usually empties within a few m-subsets at count f
+            for word in compress(masks, map(at_f, counts)):
+                miss &= word
+                if not miss:
+                    break
+            else:
+                for word in compress(masks, map(below_f, counts)):
+                    miss &= ~word
+                    if not miss:
+                        break
+            if miss:
+                low = (miss & -miss).bit_length() - 1
+                cex = hypergraph(r, n, (rsets[i] for i in (low, *prefix)))
+                return ArrowVerdict(query, False, cex, examined + low + 1)
+            examined += hi
+        if not prefix:
+            return ArrowVerdict(query, True, None, examined)
+        y = prefix.pop()
+        for j in holders[y]:
+            counts[j] -= 1
+        y += 1
 
 
 def non_arrowing_sizes(

@@ -87,6 +87,19 @@ def test_oracle_arrows_with_counterexample(capsys):
     assert (cex.n, cex.edge_count) == (5, 7)
 
 
+def test_oracle_arrows_deep_e(capsys):
+    # one graph, and one graph short of all 1,140 triples: the walk keeps
+    # its prefix on a list, so e is not bounded by the recursion limit
+    for e, examined in ((1140, 1), (1139, 1140)):
+        code, out, _ = run(
+            capsys, "--format", "json", "oracle", "arrows",
+            "--n", "20", "--e", str(e), "--r", "3", "--m", "0", "--f", "0",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["arrows"], doc["graphs_examined"]) == (True, examined)
+
+
 def test_oracle_budget_exit_code(capsys):
     code, _, err = run(
         capsys, "oracle", "arrows",

@@ -23,6 +23,7 @@ from pairset.hypergraph import (
     spectrum,
 )
 from pairset.oracle import graph_arrows
+from reference import reference_counts
 
 
 @st.composite
@@ -128,16 +129,6 @@ def test_induced_commutes_with_complement(g, data):
     k = data.draw(st.integers(min_value=0, max_value=g.n))
     s = data.draw(st.permutations(range(g.n)))[:k]
     assert induced(complement(g), s) == complement(induced(g, s))
-
-
-def reference_counts(g, m):
-    """Induced edge count of every m-subset, in lexicographic order.
-
-    The plain loop over C(n, m) * C(m, r) r-set lookups: the one reference
-    that the induced-count kernel behind spectrum, graph_arrows and the
-    sparsity check is tested against.
-    """
-    return [sum(t in g.edges for t in combinations(s, g.r)) for s in combinations(range(g.n), m)]
 
 
 @st.composite

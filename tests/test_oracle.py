@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, turan_count
 from pairset.constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
@@ -15,6 +17,7 @@ from pairset.oracle import (
     resolve_budget,
     verify_blowup_claims,
 )
+from reference import reference_arrows
 
 
 def test_graph_arrows_examples():
@@ -80,11 +83,26 @@ def test_complement_duality():
             assert {top_e - e for e in na} == nb
 
 
-def test_budget_refusal_and_env():
+def test_budget_refusal_and_default():
     with pytest.raises(BudgetExceededError):
         pair_arrows(9, 10, 3, 6, 4, budget=100)
     assert resolve_budget() == 100_000_000
     assert resolve_budget(7) == 7
+
+
+def test_budget_boundary():
+    # the charge is C(C(n, r), e) * max(1, C(n, m)): exactly that budget runs,
+    # one unit less refuses
+    for n, e, r, m, f in ((6, 3, 3, 4, 0), (5, 7, 3, 4, 4), (7, 2, 3, 0, 0), (6, 0, 3, 5, 1), (5, 10, 2, 3, 3)):
+        cost = binomial(binomial(n, r), e) * max(1, binomial(n, m))
+        pair_arrows(n, e, r, m, f, budget=cost)
+        with pytest.raises(BudgetExceededError):
+            pair_arrows(n, e, r, m, f, budget=cost - 1)
+    for n, r, m, f in ((5, 3, 4, 4), (5, 3, 0, 0)):
+        cost = 2 ** binomial(n, r) * max(1, binomial(n, m))
+        non_arrowing_sizes(n, r, m, f, budget=cost)
+        with pytest.raises(BudgetExceededError):
+            non_arrowing_sizes(n, r, m, f, budget=cost - 1)
 
 
 def test_verify_blowup_depth_one_degenerate():
@@ -133,3 +151,36 @@ def test_counterexamples_reverify_via_independent_pass():
         assert v.counterexample is not None
         assert not graph_arrows(v.counterexample, 4, 4)
         assert v.counterexample.edge_count == e
+
+
+# the reference builds one Hypergraph per graph, so queries stay this small
+REFERENCE_WORK = 5000
+
+
+@st.composite
+def arrow_queries(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(min_value=0, max_value=7))
+    m = draw(st.integers(min_value=0, max_value=n))
+    slots = binomial(n, r)
+    sizes = [e for e in range(slots + 1) if binomial(slots, e) * binomial(n, m) <= REFERENCE_WORK]
+    e = draw(st.sampled_from(sizes))
+    f = draw(st.integers(min_value=0, max_value=binomial(m, r)))
+    return n, e, r, m, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrow_queries())
+@example((0, 0, 2, 0, 0))
+@example((6, 0, 3, 4, 1))  # e = 0
+@example((5, 10, 3, 4, 4))  # e = C(n, r)
+@example((5, 9, 3, 4, 3))
+@example((6, 3, 3, 0, 0))  # m = 0
+@example((5, 3, 3, 2, 0))  # m < r
+@example((6, 2, 3, 4, 0))  # f = 0
+@example((5, 7, 3, 4, 4))  # f = C(m, r)
+@example((7, 2, 4, 5, 5))
+def test_pair_arrows_matches_reference(query):
+    arrows, cex, examined = reference_arrows(*query)
+    v = pair_arrows(*query)
+    assert (v.arrows, v.counterexample, v.graphs_examined) == (arrows, cex, examined)
