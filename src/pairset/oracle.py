@@ -96,9 +96,11 @@ def pair_arrows(
     charge(binomial(slots, e) * max(1, binomial(n, m)),
            "pair_arrows (raise the budget with --budget)", resolve_budget(budget))
     query = (n, e, r, m, f)
-    if e == 0:  # one graph, and each of its m-subsets induces 0 edges
-        cex = None if f == 0 else hypergraph(r, n, ())
-        return ArrowVerdict(query, f == 0, cex, 1)
+    if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
+        hit = f == (binomial(m, r) if e else 0)
+        cex = None if hit else hypergraph(r, n, subsets_colex(n, r) if e else ())
+        return ArrowVerdict(query, hit, cex, 1)
+    # here C(slots, e) >= slots >= C(m, r), so the charge covers the tables
     rsets, masks, holders = _tables(n, r, m)
     counts = [0] * len(masks)
     at_f, below_f = f.__eq__, (f - 1).__eq__

@@ -88,8 +88,8 @@ def test_oracle_arrows_with_counterexample(capsys):
 
 
 def test_oracle_arrows_deep_e(capsys):
-    # one graph, and one graph short of all 1,140 triples: the walk keeps
-    # its prefix on a list, so e is not bounded by the recursion limit
+    # all 1,140 triples, and the 1,140 graphs one triple short of them: the
+    # walk keeps its 1,138 fixed ranks on a list, not on the call stack
     for e, examined in ((1140, 1), (1139, 1140)):
         code, out, _ = run(
             capsys, "--format", "json", "oracle", "arrows",

@@ -174,6 +174,7 @@ def arrow_queries(draw):
 @example((0, 0, 2, 0, 0))
 @example((6, 0, 3, 4, 1))  # e = 0
 @example((5, 10, 3, 4, 4))  # e = C(n, r)
+@example((5, 10, 3, 4, 3))
 @example((5, 9, 3, 4, 3))
 @example((6, 3, 3, 0, 0))  # m = 0
 @example((5, 3, 3, 2, 0))  # m < r
