@@ -19,7 +19,7 @@ from itertools import combinations, compress
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import charge
-from .hypergraph import Hypergraph, _scan, complement, hypergraph, spectrum
+from .hypergraph import Hypergraph, _scan, complement, complete, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -98,7 +98,7 @@ def pair_arrows(
     query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
         hit = f == (binomial(m, r) if e else 0)
-        cex = None if hit else hypergraph(r, n, subsets_colex(n, r) if e else ())
+        cex = None if hit else complete(n, r) if e else hypergraph(r, n, ())
         return ArrowVerdict(query, hit, cex, 1)
     # here C(slots, e) >= slots >= C(m, r), so the charge covers the tables
     rsets, masks, holders = _tables(n, r, m)
