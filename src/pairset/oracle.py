@@ -6,20 +6,21 @@ that by enumerating every e-edge graph on n labelled vertices and every
 m-subset, refusing outright when the work would exceed the configured budget.
 pair_arrows walks the graphs depth first in colex order, carrying each
 m-subset's induced count along the prefix of fixed edges, and settles all
-graphs that differ only in their smallest edge with one bitmask.
+graphs that differ only in their smallest edge with one bitmask; above half
+of the r-sets it walks the non-edges instead.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, compress
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import charge
-from .hypergraph import Hypergraph, _scan, complement, complete, hypergraph, spectrum
+from .hypergraph import Hypergraph, _scan, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -47,28 +48,28 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
     return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
 
 
-@lru_cache(maxsize=1)
-def _tables(n: int, r: int, m: int) -> tuple[tuple, tuple, tuple]:
+def _tables(n: int, r: int, m: int, holders: bool) -> tuple[list, list, list | None]:
     """The r-sets of range(n) in colex order; for each m-subset, the bitmask
-    of the colex ranks of its r-sets; and for each rank, the indices of the
-    m-subsets holding that r-set.  The last (n, r, m) is kept, so the calls
-    non_arrowing_sizes makes, one per edge count, build these once."""
-    rsets = tuple(subsets_colex(n, r))
+    of the colex ranks of its r-sets; and, if holders is set, for each rank
+    the indices of the m-subsets holding that r-set, 4 bytes an index."""
+    rsets = list(subsets_colex(n, r))
     rank = {s: i for i, s in enumerate(rsets)}
     masks = []
-    holders: list[list[int]] = [[] for _ in rsets]
+    held = [array("I") for _ in rsets] if holders else None
     for j, s in enumerate(combinations(range(n), m)):
         word = 0
         for t in combinations(s, r):
             i = rank[t]
             word |= 1 << i
-            holders[i].append(j)
+            if held is not None:
+                held[i].append(j)
         masks.append(word)
-    return rsets, tuple(masks), tuple(map(tuple, holders))
+    return rsets, masks, held
 
 
 def pair_arrows(
-    n: int, e: int, r: int, m: int, f: int, *, budget: int | None = None
+    n: int, e: int, r: int, m: int, f: int, *,
+    budget: int | None = None, tables: tuple | None = None,
 ) -> ArrowVerdict:
     """Decide whether (n, e) arrows (m, f) by exhausting every e-edge graph.
 
@@ -79,10 +80,14 @@ def pair_arrows(
     keeping each m-subset's induced count for that prefix.  Below a prefix
     whose smallest rank is hi lie the hi graphs that add one rank i < hi; the
     ones missing f are the set bits of AND(masks of the m-subsets at count f)
-    & ~OR(masks at count f - 1) & ((1 << hi) - 1).
+    & ~OR(masks at count f - 1) & ((1 << hi) - 1).  Above e = C(n, r) / 2 the
+    walk fixes the C(n, r) - e non-edges instead, in reverse colex order,
+    counting non-edges against C(m, r) - f, so it never takes more steps
+    than there are graphs.
 
     graphs_examined counts the graphs up to and including the counterexample,
-    or all C(C(n, r), e) of them when there is none.
+    or all C(C(n, r), e) of them when there is none.  tables, if given, is
+    _tables(n, r, m, True), for a caller that asks many e of one (n, r, m).
     """
     if r < 2 or n < 0:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
@@ -93,41 +98,56 @@ def pair_arrows(
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
+    allowed = resolve_budget(budget)
     charge(binomial(slots, e) * max(1, binomial(n, m)),
-           "pair_arrows (raise the budget with --budget)", resolve_budget(budget))
+           "pair_arrows (raise the budget with --budget)", allowed)
     query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
-        hit = f == (binomial(m, r) if e else 0)
-        cex = None if hit else complete(n, r) if e else hypergraph(r, n, ())
-        return ArrowVerdict(query, hit, cex, 1)
+        if f == (binomial(m, r) if e else 0):
+            return ArrowVerdict(query, True, None, 1)
+        charge(e, f"the complete counterexample over C({n},{r}) r-sets", allowed)
+        edges = frozenset(combinations(range(n), r)) if e else frozenset()
+        return ArrowVerdict(query, False, Hypergraph(r, n, edges), 1)
+    # the complements of e-sets in colex order are (slots - e)-sets in reverse
+    # colex order; over k-sets the walk fixes C(slots, k - 1) - 1 prefixes,
+    # fewer than the C(slots, k) graphs while k <= slots / 2
+    flip = 2 * e > slots
+    k, g = (slots - e, binomial(m, r) - f) if flip else (e, f)
     # here C(slots, e) >= slots >= C(m, r), so the charge covers the tables
-    rsets, masks, holders = _tables(n, r, m)
+    rsets, masks, holders = tables or _tables(n, r, m, k >= 2)
     counts = [0] * len(masks)
-    at_f, below_f = f.__eq__, (f - 1).__eq__
+    at_g, below_g = g.__eq__, (g - 1).__eq__
     examined = 0
     prefix: list[int] = []  # the fixed ranks, largest first
-    y = e - 1  # next rank to fix; the j-th largest of e ranks is at least e - j
+    y = slots - 1 if flip else k - 1  # next rank to fix; the j-th largest of k is at least k - j
     while True:
-        if len(prefix) < e - 1 and y < (prefix[-1] if prefix else slots):
-            for j in holders[y]:
-                counts[j] += 1
-            prefix.append(y)
-            y = e - 1 - len(prefix)
-            continue
-        if len(prefix) == e - 1:
+        depth = len(prefix)
+        if depth < k - 1:
+            if k - 1 - depth <= y < (prefix[-1] if prefix else slots):
+                for j in holders[y]:
+                    counts[j] += 1
+                prefix.append(y)
+                y = y - 1 if flip else k - 2 - depth
+                continue
+        else:
             hi = prefix[-1] if prefix else slots
             miss = (1 << hi) - 1
-            # the AND usually empties within a few m-subsets at count f
-            for word in compress(masks, map(at_f, counts)):
+            # the AND usually empties within a few m-subsets at count g
+            for word in compress(masks, map(at_g, counts)):
                 miss &= word
                 if not miss:
                     break
             else:
-                for word in compress(masks, map(below_f, counts)):
+                for word in compress(masks, map(below_g, counts)):
                     miss &= ~word
                     if not miss:
                         break
             if miss:
+                if flip:  # the leaves run from rank hi - 1 down, so the highest bit comes first
+                    top = miss.bit_length() - 1
+                    fixed = {top, *prefix}
+                    cex = hypergraph(r, n, (t for i, t in enumerate(rsets) if i not in fixed))
+                    return ArrowVerdict(query, False, cex, examined + hi - top)
                 low = (miss & -miss).bit_length() - 1
                 cex = hypergraph(r, n, (rsets[i] for i in (low, *prefix)))
                 return ArrowVerdict(query, False, cex, examined + low + 1)
@@ -137,7 +157,7 @@ def pair_arrows(
         y = prefix.pop()
         for j in holders[y]:
             counts[j] -= 1
-        y += 1
+        y += -1 if flip else 1
 
 
 def non_arrowing_sizes(
@@ -148,10 +168,11 @@ def non_arrowing_sizes(
     allowed = resolve_budget(budget)
     charge((2**slots) * max(1, binomial(n, m)),
            "sweeping all sizes (raise the budget with --budget)", allowed)
+    tables = _tables(n, r, m, True)  # built once for all sizes, freed on return
     return {
         e
         for e in range(slots + 1)
-        if not pair_arrows(n, e, r, m, f, budget=allowed).arrows
+        if not pair_arrows(n, e, r, m, f, budget=allowed, tables=tables).arrows
     }
 
 

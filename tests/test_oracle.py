@@ -13,6 +13,7 @@ from pairset.hypergraph import complete, hypergraph, induced, spectrum
 from pairset.oracle import (
     graph_arrows,
     non_arrowing_sizes,
+    _tables,
     pair_arrows,
     resolve_budget,
     verify_blowup_claims,
@@ -98,11 +99,49 @@ def test_budget_boundary():
         pair_arrows(n, e, r, m, f, budget=cost)
         with pytest.raises(BudgetExceededError):
             pair_arrows(n, e, r, m, f, budget=cost - 1)
+    # e = C(n, r) with f != C(m, r): the complete counterexample's r-sets are
+    # charged to the same budget
+    pair_arrows(8, 56, 3, 7, 0, budget=56)
+    with pytest.raises(BudgetExceededError):
+        pair_arrows(8, 56, 3, 7, 0, budget=55)
     for n, r, m, f in ((5, 3, 4, 4), (5, 3, 0, 0)):
         cost = 2 ** binomial(n, r) * max(1, binomial(n, m))
         non_arrowing_sizes(n, r, m, f, budget=cost)
         with pytest.raises(BudgetExceededError):
             non_arrowing_sizes(n, r, m, f, budget=cost - 1)
+
+
+class ReadCounter(list):
+    """A list that counts how often it is indexed or iterated."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_walk_steps_within_graph_count():
+    # over k = min(e, C(n, r) - e) fixed ranks the walk pushes and pops
+    # C(C(n, r), k - 1) - 1 prefixes and scans the masks at most twice for
+    # each of C(C(n, r) - 1, k - 1) runs of leaves: neither passes the
+    # C(C(n, r), e) graphs charged, so at most C(n, m) work a step keeps the
+    # walk within a fixed multiple of its charge, one edge short of complete too
+    for n, e, r, m, f in (
+        (20, 1139, 3, 20, 1139), (20, 1138, 3, 20, 1138), (9, 83, 3, 6, 20),
+        (9, 82, 3, 6, 20), (9, 81, 3, 6, 18), (9, 2, 3, 6, 1), (7, 32, 3, 5, 9), (7, 3, 3, 5, 1),
+    ):
+        rsets, masks, holders = _tables(n, r, m, True)
+        masks, holders = ReadCounter(masks), ReadCounter(holders)
+        v = pair_arrows(n, e, r, m, f, tables=(rsets, masks, holders))
+        graphs = binomial(binomial(n, r), e)
+        assert v.graphs_examined <= graphs
+        assert holders.reads // 2 < graphs
+        assert masks.reads <= graphs
 
 
 def test_verify_blowup_depth_one_degenerate():
@@ -175,7 +214,9 @@ def arrow_queries(draw):
 @example((6, 0, 3, 4, 1))  # e = 0
 @example((5, 10, 3, 4, 4))  # e = C(n, r)
 @example((5, 10, 3, 4, 3))
-@example((5, 9, 3, 4, 3))
+@example((5, 9, 3, 4, 3))  # e = C(n, r) - 1, walked over its one non-edge
+@example((5, 6, 3, 4, 2))  # e > C(n, r) / 2
+@example((6, 19, 3, 5, 9))
 @example((6, 3, 3, 0, 0))  # m = 0
 @example((5, 3, 3, 2, 0))  # m < r
 @example((6, 2, 3, 4, 0))  # f = 0
