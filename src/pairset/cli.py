@@ -181,10 +181,7 @@ def _blowup(args) -> None:
 
 
 def _sparse(args) -> None:
-    config = constructions.SparseGenConfig(
-        args.n, args.r, args.m, args.seed,
-        density_constant=Fraction(args.constant) if args.constant else Fraction(1, 4),
-    )
+    config = constructions.SparseGenConfig(args.n, args.r, args.m, args.seed, args.constant)
     g, log = constructions.random_sparse(config)
     print(json.dumps(asdict(log), sort_keys=True), file=sys.stderr)
     _write_graph(args, g)
@@ -273,6 +270,14 @@ def _spectrum_text(doc: dict) -> list[str]:
     return [head, *(f"  {k}: {v}" for k, v in doc["counts"].items())]
 
 
+def _rational(text: str) -> Fraction:
+    """A p/q flag value; a malformed one, q = 0 included, is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational p/q, got {text!r}") from None
+
+
 def _command(sub, name, func, render, *int_flags, **kwargs):
     """A subcommand with required integer flags, run by func and rendered
     as text by render."""
@@ -312,7 +317,8 @@ def build_parser() -> _Parser:
     blowup.add_argument("--depth", type=int, required=True)
     sparse = _command(fam, "sparse", _sparse, None, "n", "r", "m")
     sparse.add_argument("--seed", type=int, default=0)
-    sparse.add_argument("--constant", help="density constant as p/q")
+    sparse.add_argument("--constant", type=_rational, default=Fraction(1, 4),
+                        help="density constant as p/q")
     realize = _command(fam, "realize", _realize, None, "n", "e", "r", "m")
     realize.add_argument("--kind", choices=("clique-plus-sparse", "complement-sparse"),
                          default="clique-plus-sparse")

@@ -139,9 +139,9 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     sampled = len(edges)
     repairs = 0
     while _first_violation(edges, n, r, m, m) is not None:
-        # the pass visits the C(n - r, m - r) m-sets through each edge
-        charge(len(edges) * binomial(n - r, m - r),
-               f"repair pass over {len(edges)} x C({n - r},{m - r}) m-sets")
+        # the pass looks up the C(m, r) r-sets of C(n - r, m - r) m-sets per edge
+        charge(len(edges) * binomial(n - r, m - r) * binomial(m, r),
+               f"repair pass over {len(edges)} x C({n - r},{m - r}) m-sets x C({m},{r}) r-set lookups")
         for anchor in sorted(edges, key=colex_key):
             if anchor not in edges:
                 continue

@@ -1,6 +1,7 @@
 """Shared exception types, and the one refusal policy for enumerations."""
 
 WORK_CAP = 10_000_000  # units of work (subsets, r-sets or edges) of any scan or constructor
+EXACT_BITS = 1024  # a refusal states a cost below 2^EXACT_BITS in full, a larger one as a power of two
 
 
 class BudgetExceededError(RuntimeError):
@@ -11,8 +12,14 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-def charge(work: int, what: str, allowed: int = WORK_CAP) -> None:
+def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False) -> None:
     """Refuse work above the allowed amount.  Every enumeration calls this
-    once with its whole cost, before it starts, so it never stops halfway."""
-    if work > allowed:
+    once with its whole cost, before it starts, so it never stops halfway.
+    With log2, work is a b for a cost of at least 2^b, refused uncomputed if
+    b >= EXACT_BITS and 2^b > allowed; else the caller charges the exact cost."""
+    bits = work if log2 else work.bit_length() - 1  # the cost is at least 2^bits
+    if bits >= max(EXACT_BITS, allowed.bit_length()):  # then 2^bits > allowed
+        raise BudgetExceededError(f"{what} needs at least 2^{bits} units of work, "
+                                  f"above the budget of {allowed}")
+    if not log2 and work > allowed:
         raise BudgetExceededError(f"{what} needs {work} units of work, above the budget of {allowed}")

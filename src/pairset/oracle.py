@@ -4,18 +4,17 @@ A pair (n, e) arrows (m, f) when every r-graph with n vertices and e edges
 has an induced m-vertex subgraph with exactly f edges.  These routines decide
 that by enumerating every e-edge graph on n labelled vertices and every
 m-subset, refusing outright when the work would exceed the configured budget.
-pair_arrows walks the graphs depth first in colex order, carrying each
-m-subset's induced count along the prefix of fixed edges, and settles all
-graphs that differ only in their smallest edge with one bitmask; above half
-of the r-sets it walks the non-edges instead.
+pair_arrows walks the graphs depth first in colex order, keeping the prefix
+of fixed edges as one bitmask that each m-subset's count is read off, and
+settles all graphs that differ only in their smallest edge with one more
+bitmask; above half of the r-sets it walks the non-edges instead.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
@@ -48,23 +47,18 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
     return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
 
 
-def _tables(n: int, r: int, m: int, holders: bool) -> tuple[list, list, list | None]:
-    """The r-sets of range(n) in colex order; for each m-subset, the bitmask
-    of the colex ranks of its r-sets; and, if holders is set, for each rank
-    the indices of the m-subsets holding that r-set, 4 bytes an index."""
+def _tables(n: int, r: int, m: int) -> tuple[list, list]:
+    """The r-sets of range(n) in colex order, and for each m-subset the
+    bitmask of the colex ranks of its r-sets."""
     rsets = list(subsets_colex(n, r))
     rank = {s: i for i, s in enumerate(rsets)}
     masks = []
-    held = [array("I") for _ in rsets] if holders else None
-    for j, s in enumerate(combinations(range(n), m)):
+    for s in combinations(range(n), m):
         word = 0
         for t in combinations(s, r):
-            i = rank[t]
-            word |= 1 << i
-            if held is not None:
-                held[i].append(j)
+            word |= 1 << rank[t]
         masks.append(word)
-    return rsets, masks, held
+    return rsets, masks
 
 
 def pair_arrows(
@@ -77,9 +71,10 @@ def pair_arrows(
     are visited in colex order: the largest rank is fixed first and the
     smallest varies fastest, so a returned counterexample is the colex-least
     failing edge set.  A depth-first walk fixes all ranks but the smallest,
-    keeping each m-subset's induced count for that prefix.  Below a prefix
-    whose smallest rank is hi lie the hi graphs that add one rank i < hi; the
-    ones missing f are the set bits of AND(masks of the m-subsets at count f)
+    keeping the fixed ranks as one bitmask, so an m-subset's induced count
+    for that prefix is (mask & fixed).bit_count().  Below a prefix whose
+    smallest rank is hi lie the hi graphs that add one rank i < hi; the ones
+    missing f are the set bits of AND(masks of the m-subsets at count f)
     & ~OR(masks at count f - 1) & ((1 << hi) - 1).  Above e = C(n, r) / 2 the
     walk fixes the C(n, r) - e non-edges instead, in reverse colex order,
     counting non-edges against C(m, r) - f, so it never takes more steps
@@ -87,7 +82,7 @@ def pair_arrows(
 
     graphs_examined counts the graphs up to and including the counterexample,
     or all C(C(n, r), e) of them when there is none.  tables, if given, is
-    _tables(n, r, m, True), for a caller that asks many e of one (n, r, m).
+    _tables(n, r, m), for a caller that asks many e of one (n, r, m).
     """
     if r < 2 or n < 0:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
@@ -99,8 +94,9 @@ def pair_arrows(
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
     allowed = resolve_budget(budget)
-    charge(binomial(slots, e) * max(1, binomial(n, m)),
-           "pair_arrows (raise the budget with --budget)", allowed)
+    what = "pair_arrows (raise the budget with --budget)"
+    charge(min(e, slots - e) + min(m, n - m), what, allowed, log2=True)  # C(a, b) >= 2^min(b, a - b)
+    charge(binomial(slots, e) * max(1, binomial(n, m)), what, allowed)
     query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
         if f == (binomial(m, r) if e else 0):
@@ -114,49 +110,40 @@ def pair_arrows(
     flip = 2 * e > slots
     k, g = (slots - e, binomial(m, r) - f) if flip else (e, f)
     # here C(slots, e) >= slots >= C(m, r), so the charge covers the tables
-    rsets, masks, holders = tables or _tables(n, r, m, k >= 2)
-    counts = [0] * len(masks)
-    at_g, below_g = g.__eq__, (g - 1).__eq__
+    rsets, masks = tables or _tables(n, r, m)
     examined = 0
     prefix: list[int] = []  # the fixed ranks, largest first
+    fixed = 0  # their bitmask
     y = slots - 1 if flip else k - 1  # next rank to fix; the j-th largest of k is at least k - j
     while True:
         depth = len(prefix)
         if depth < k - 1:
             if k - 1 - depth <= y < (prefix[-1] if prefix else slots):
-                for j in holders[y]:
-                    counts[j] += 1
+                fixed |= 1 << y
                 prefix.append(y)
                 y = y - 1 if flip else k - 2 - depth
                 continue
         else:
             hi = prefix[-1] if prefix else slots
             miss = (1 << hi) - 1
-            # the AND usually empties within a few m-subsets at count g
-            for word in compress(masks, map(at_g, counts)):
-                miss &= word
+            for word in masks:
+                count = (word & fixed).bit_count()
+                if count == g:
+                    miss &= word
+                elif count == g - 1:
+                    miss &= ~word
                 if not miss:
                     break
-            else:
-                for word in compress(masks, map(below_g, counts)):
-                    miss &= ~word
-                    if not miss:
-                        break
-            if miss:
-                if flip:  # the leaves run from rank hi - 1 down, so the highest bit comes first
-                    top = miss.bit_length() - 1
-                    fixed = {top, *prefix}
-                    cex = hypergraph(r, n, (t for i, t in enumerate(rsets) if i not in fixed))
-                    return ArrowVerdict(query, False, cex, examined + hi - top)
-                low = (miss & -miss).bit_length() - 1
-                cex = hypergraph(r, n, (rsets[i] for i in (low, *prefix)))
-                return ArrowVerdict(query, False, cex, examined + low + 1)
+            if miss:  # the leaves run from rank 0 up, or under flip from hi - 1 down
+                i = miss.bit_length() - 1 if flip else (miss & -miss).bit_length() - 1
+                chosen = {i, *prefix}  # the edges, or under flip the non-edges
+                cex = hypergraph(r, n, (t for j, t in enumerate(rsets) if (j in chosen) != flip))
+                return ArrowVerdict(query, False, cex, examined + (hi - i if flip else i + 1))
             examined += hi
         if not prefix:
             return ArrowVerdict(query, True, None, examined)
         y = prefix.pop()
-        for j in holders[y]:
-            counts[j] -= 1
+        fixed ^= 1 << y
         y += -1 if flip else 1
 
 
@@ -166,14 +153,12 @@ def non_arrowing_sizes(
     """All edge counts e for which (n, e) fails to arrow (m, f)."""
     slots = binomial(n, r)
     allowed = resolve_budget(budget)
-    charge((2**slots) * max(1, binomial(n, m)),
-           "sweeping all sizes (raise the budget with --budget)", allowed)
-    tables = _tables(n, r, m, True)  # built once for all sizes, freed on return
-    return {
-        e
-        for e in range(slots + 1)
-        if not pair_arrows(n, e, r, m, f, budget=allowed, tables=tables).arrows
-    }
+    what = "sweeping all sizes (raise the budget with --budget)"
+    charge(slots + min(m, n - m), what, allowed, log2=True)  # C(n, m) >= 2^min(m, n - m)
+    charge((2**slots) * max(1, binomial(n, m)), what, allowed)
+    tables = _tables(n, r, m)  # built once for all sizes, freed on return
+    return {e for e in range(slots + 1)
+            if not pair_arrows(n, e, r, m, f, budget=allowed, tables=tables).arrows}
 
 
 @dataclass(frozen=True)

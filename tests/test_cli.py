@@ -109,13 +109,22 @@ def test_oracle_budget_exit_code(capsys):
     assert "budget refusal" in err
 
 
-def test_construct_turan_refuses_at_once(capsys):
+def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # without --out the graph would go to stdout; the sparse case passes its
     # sampling and check charges, and its repair pass over 2,176 sampled
-    # edges times C(42, 3) m-sets each is what refuses
+    # edges times C(42, 3) m-sets each is what refuses.  The rest cost more
+    # than 4,300 digits, or take longer to compute than to refuse (2^C(n, 3)
+    # for n = 100000; C(C(2000, 3), 3 million)), and are stated as powers of two
+    empty = tmp_path / "empty.hg"
+    empty.write_text("3 20000\n")
     for argv in (
         ("construct", "turan", "--n", "100000", "--l", "3", "--r", "3"),
         ("construct", "sparse", "--n", "45", "--r", "3", "--m", "6", "--constant", "4"),
+        ("oracle", "arrows", "--n", "200", "--e", "5000", "--r", "3", "--m", "4", "--f", "0"),
+        ("oracle", "sizes", "--n", "2000", "--r", "3", "--m", "4", "--f", "0"),
+        ("spectrum", "--in", str(empty), "--m", "10000"),
+        ("oracle", "sizes", "--n", "100000", "--r", "3", "--m", "4", "--f", "0"),
+        ("oracle", "arrows", "--n", "2000", "--e", "3000000", "--r", "3", "--m", "4", "--f", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -176,6 +185,9 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "avoid", "--r", "3", "--m", "6")[0] == 1
     assert run(capsys, "bounds", "--r", "3", "--m", "6", "--f", "10", "--bracket")[0] == 1
+    code, _, err = run(capsys, "construct", "sparse", "--n", "12", "--r", "3", "--m", "5", "--constant", "1/0")
+    assert code == 1
+    assert err.startswith("usage error:")
     code, _, err = run(capsys, "avoid", "--r", "3", "--m", "2", "--f", "0")
     assert code == 1
     assert "error" in err

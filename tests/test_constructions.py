@@ -162,6 +162,10 @@ def test_enumerations_refuse_before_enumerating():
     # C(60, 59) = 60 subsets would pass; sampling C(60, 30) r-sets must not
     with pytest.raises(BudgetExceededError):
         random_sparse(SparseGenConfig(60, 30, 59, 0))
+    # 1,254 sampled edges x C(37, 3) m-sets would pass; the repair pass's
+    # C(6, 3) r-set lookups in each of those m-sets must not
+    with pytest.raises(BudgetExceededError, match="r-set lookups"):
+        random_sparse(SparseGenConfig(40, 3, 6, 0, density_constant=Fraction(3)))
 
 
 def test_realize_exact_clique_sizes():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -112,13 +113,9 @@ def test_budget_boundary():
 
 
 class ReadCounter(list):
-    """A list that counts how often it is indexed or iterated."""
+    """A list that counts how often it is iterated."""
 
     reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
 
     def __iter__(self):
         self.reads += 1
@@ -126,22 +123,26 @@ class ReadCounter(list):
 
 
 def test_walk_steps_within_graph_count():
-    # over k = min(e, C(n, r) - e) fixed ranks the walk pushes and pops
-    # C(C(n, r), k - 1) - 1 prefixes and scans the masks at most twice for
-    # each of C(C(n, r) - 1, k - 1) runs of leaves: neither passes the
-    # C(C(n, r), e) graphs charged, so at most C(n, m) work a step keeps the
-    # walk within a fixed multiple of its charge, one edge short of complete too
+    # over k = min(e, C(n, r) - e) fixed ranks the walk scans the masks once
+    # for each of C(C(n, r) - 1, k - 1) runs of leaves, no more than the
+    # C(C(n, r), e) graphs charged
     for n, e, r, m, f in (
         (20, 1139, 3, 20, 1139), (20, 1138, 3, 20, 1138), (9, 83, 3, 6, 20),
         (9, 82, 3, 6, 20), (9, 81, 3, 6, 18), (9, 2, 3, 6, 1), (7, 32, 3, 5, 9), (7, 3, 3, 5, 1),
     ):
-        rsets, masks, holders = _tables(n, r, m, True)
-        masks, holders = ReadCounter(masks), ReadCounter(holders)
-        v = pair_arrows(n, e, r, m, f, tables=(rsets, masks, holders))
+        rsets, masks = _tables(n, r, m)
+        masks = ReadCounter(masks)
+        v = pair_arrows(n, e, r, m, f, tables=(rsets, masks))
         graphs = binomial(binomial(n, r), e)
         assert v.graphs_examined <= graphs
-        assert holders.reads // 2 < graphs
         assert masks.reads <= graphs
+    # its C(C(n, r), k - 1) - 1 prefix pushes read no table, so time them: one
+    # edge short of complete, the non-edge walk pushes nothing, where fixing
+    # the edges would push C(4060, 4058) - 1, about 8.2 million, prefixes
+    started = time.perf_counter()
+    v = pair_arrows(30, 4059, 3, 30, 4059)
+    assert time.perf_counter() - started < 0.5
+    assert (v.arrows, v.graphs_examined) == (True, 4060)
 
 
 def test_verify_blowup_depth_one_degenerate():
