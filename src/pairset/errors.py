@@ -1,4 +1,7 @@
-"""Shared exception types, and the one refusal policy for enumerations."""
+"""Shared exception types, and the one refusal policy for enumerations:
+charge, and charge_binomial for a cost of one binomial C(n, k)."""
+
+from .combinatorics import binomial
 
 WORK_CAP = 10_000_000  # units of work (subsets, r-sets or edges) of any scan or constructor
 EXACT_BITS = 1024  # a refusal states a cost below 2^EXACT_BITS in full, a larger one as a power of two
@@ -23,3 +26,15 @@ def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False)
                                   f"above the budget of {allowed}")
     if not log2 and work > allowed:
         raise BudgetExceededError(f"{what} needs {work} units of work, above the budget of {allowed}")
+
+
+def charge_binomial(n: int, k: int, what: str, allowed: int = WORK_CAP) -> int:
+    """Charge C(n, k) units of work and return C(n, k).  The lower bound
+    C(n, k) >= 2^min(k, n - k) is charged first, so a count of 2^EXACT_BITS
+    or more over the budget refuses before the binomial, slow to compute for
+    large k near n/2, is computed."""
+    if 0 <= k <= n:
+        charge(min(k, n - k), what, allowed, log2=True)
+    work = binomial(n, k)
+    charge(work, what, allowed)
+    return work

@@ -4,19 +4,19 @@ Every induced-count query (spectrum, the sparsity check, and
 oracle.graph_arrows) runs on one private kernel, _scan: a depth-first
 search over the m-subsets that carries the counts of each prefix forward,
 so the last vertex of an m-subset costs one list read instead of C(m, r)
-r-set lookups.  Every enumeration here, the subset scans and the r-set
-enumerations of complete and complement, is exhaustive and first charges
-its whole size to errors.charge, so it refuses rather than approximates.
+r-set lookups.  The kernel charges its own C(n, m) subsets, and complete
+and complement their C(n, r) r-sets, to errors.charge_binomial before they
+start, so every enumeration here is exhaustive or refuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 from typing import Collection, Iterable, Sequence
 
-from .combinatorics import binomial
-from .errors import charge
+from .errors import charge_binomial
 
 
 class ParseError(ValueError):
@@ -45,38 +45,40 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
         for e in self.edges:
-            if len(e) != self.r:
-                raise ValueError(f"edge {e} does not have {self.r} vertices")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                raise ValueError(f"edge {e} is not strictly increasing")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e} out of range for n={self.n}")
+            if error := _edge_error(e, self.r, self.n):
+                raise ValueError(error)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
+def _edge_error(e: tuple[int, ...], r: int, n: int) -> str | None:
+    """Why e is not an edge of an r-graph on range(n), or None if it is."""
+    if len(e) != r:
+        return f"expected {r} vertices per edge, got {len(e)} in {e}"
+    if not all(map(lt, e, e[1:])):
+        return f"vertices must be strictly increasing, got {e}"
+    if e[0] < 0 or e[-1] >= n:
+        return f"vertex {e[-1] if e[-1] >= n else e[0]} out of range for n={n}"
+    return None
+
+
 def hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
-    """Build a hypergraph, normalising each edge to a sorted tuple."""
-    norm = set()
-    for e in edges:
-        t = tuple(sorted(e))
-        if len(set(t)) != len(t):
-            raise ValueError(f"edge {tuple(e)} has repeated vertices")
-        norm.add(t)
-    return Hypergraph(r, n, frozenset(norm))
+    """Build a hypergraph, normalising each edge to a sorted tuple; an edge
+    with a repeated vertex is not strictly increasing, so it is rejected."""
+    return Hypergraph(r, n, frozenset(tuple(sorted(e)) for e in edges))
 
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph on n vertices (empty when n < r)."""
-    charge(binomial(n, r), f"complete over C({n},{r}) r-sets")
+    charge_binomial(n, r, f"complete over C({n},{r}) r-sets")
     return Hypergraph(r, n, frozenset(combinations(range(n), r)))
 
 
 def complement(g: Hypergraph) -> Hypergraph:
     """Same vertices; edge set is all r-subsets not in g."""
-    charge(binomial(g.n, g.r), f"complement over C({g.n},{g.r}) r-sets")
+    charge_binomial(g.n, g.r, f"complement over C({g.n},{g.r}) r-sets")
     missing = frozenset(t for t in combinations(range(g.n), g.r) if t not in g.edges)
     return Hypergraph(g.r, g.n, missing)
 
@@ -127,12 +129,15 @@ class Spectrum:
 def _scan(
     edges: Collection[tuple[int, ...]], n: int, r: int, m: int, limit: int | None = None
 ) -> dict[int, int] | tuple[int, ...] | None:
-    """Induced edge counts of the m-subsets of range(n), for 2 <= r <= m <= n.
+    """Induced edge counts of the m-subsets of range(n), for r >= 2, m >= 0.
 
     Without a limit, the histogram {count: number of m-subsets}, keys in
     increasing order.  With a limit, the lexicographically first m-subset
     inducing more than limit edges, or None when there is none; a prefix
     that already induces more than limit edges ends the scan at once.
+    The C(n, m) subsets are charged first, to errors.charge_binomial.  Unless
+    r <= m <= n no m-subset holds an edge: the histogram is then
+    {0: C(n, m)}, and there is no violation.
 
     A depth-first search over sorted prefixes P, in lexicographic order.
     Level j of P holds, for each j-set T above max(P), the number of
@@ -145,6 +150,9 @@ def _scan(
     popcount: the link bitmask of an (r - 1)-set (the lowest vertices of the
     edges through it) against the bitmask of P.
     """
+    subsets = charge_binomial(n, m, f"induced-count scan over C({n},{m}) subsets")
+    if not r <= m <= n:
+        return {0: subsets} if limit is None else None
     top = max(1, r - 2)
     link: dict[tuple[int, ...], int] = {}
     for e in edges:
@@ -218,10 +226,6 @@ def spectrum(g: Hypergraph, m: int) -> Spectrum:
     """Exact induced-size histogram over all C(n, m) subsets of size m."""
     if not 0 <= m <= g.n:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
-    subsets = binomial(g.n, m)
-    charge(subsets, f"spectrum over C({g.n},{m}) subsets")
-    if m < g.r:
-        return Spectrum(m, {0: subsets})
     return Spectrum(m, _scan(g.edges, g.n, g.r, m))
 
 
@@ -230,22 +234,18 @@ def _first_violation(
 ) -> tuple[int, ...] | None:
     """Some m-subset of range(n) inducing more than limit edges, or None.
 
-    The scan stops at the first such subset, and at the first prefix that
-    already induces more than limit edges.  edges is only read, so a caller
-    may pass the mutable set it is repairing.
+    _scan with a limit, so it charges the C(n, m) subsets and stops at the
+    first such subset, or the first prefix inducing more than limit edges.
+    edges is only read, so a caller may pass the set it is repairing.
     """
-    if not r <= m <= n:
-        return None
     return _scan(edges, n, r, m, limit)
 
 
 def is_sparse(g: Hypergraph, m: int) -> bool:
-    """True iff every m-vertex subset induces at most m edges."""
+    """True iff every m-vertex subset induces at most m edges; the kernel
+    charges the C(n, m) subsets it scans."""
     if m < 0:
         raise ValueError(f"subset order must be >= 0, got {m}")
-    if m > g.n:
-        return True
-    charge(binomial(g.n, m), f"sparsity check over C({g.n},{m}) subsets")
     return _first_violation(g.edges, g.n, g.r, m, m) is None
 
 
@@ -275,17 +275,12 @@ def parse(text: str) -> Hypergraph:
             if r < 2 or n < 0:
                 raise ParseError(lineno, f"malformed header: need r >= 2 and n >= 0, got r={r}, n={n}")
             continue
-        parts = line.split()
-        if len(parts) != r:
-            raise ParseError(lineno, f"expected {r} vertices per edge, got {len(parts)}")
         try:
-            vs = tuple(int(p) for p in parts)
+            vs = tuple(int(p) for p in line.split())
         except ValueError:
             raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-            raise ParseError(lineno, f"vertices must be strictly increasing, got {line!r}")
-        if vs[0] < 0 or vs[-1] >= n:
-            raise ParseError(lineno, f"vertex {vs[-1] if vs[-1] >= n else vs[0]} out of range for n={n}")
+        if error := _edge_error(vs, r, n):
+            raise ParseError(lineno, error)
         if vs in edges:
             raise ParseError(lineno, f"duplicate edge {line!r}")
         edges.add(vs)

@@ -43,8 +43,7 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
     if not 0 <= f <= binomial(m, g.r):
         raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
-    charge(binomial(g.n, m), f"arrowing check over C({g.n},{m}) subsets")
-    return m < g.r or f in _scan(g.edges, g.n, g.r, m)  # below r, f = 0 and every m-subset has it
+    return f in _scan(g.edges, g.n, g.r, m)
 
 
 def _tables(n: int, r: int, m: int) -> tuple[list, list]:

@@ -114,9 +114,12 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # sampling and check charges, and its repair pass over 2,176 sampled
     # edges times C(42, 3) m-sets each is what refuses.  The rest cost more
     # than 4,300 digits, or take longer to compute than to refuse (2^C(n, 3)
-    # for n = 100000; C(C(2000, 3), 3 million)), and are stated as powers of two
+    # for n = 100000; C(C(2000, 3), 3 million); C(10^6, 5 * 10^5), seconds of
+    # math.comb), and are stated as powers of two
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
+    huge = tmp_path / "huge.hg"
+    huge.write_text("3 1000000\n")
     for argv in (
         ("construct", "turan", "--n", "100000", "--l", "3", "--r", "3"),
         ("construct", "sparse", "--n", "45", "--r", "3", "--m", "6", "--constant", "4"),
@@ -125,6 +128,8 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("spectrum", "--in", str(empty), "--m", "10000"),
         ("oracle", "sizes", "--n", "100000", "--r", "3", "--m", "4", "--f", "0"),
         ("oracle", "arrows", "--n", "2000", "--e", "3000000", "--r", "3", "--m", "4", "--f", "0"),
+        ("spectrum", "--in", str(huge), "--m", "500000"),
+        ("construct", "sparse", "--n", "1000000", "--r", "500000", "--m", "500001"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -157,6 +158,14 @@ def test_enumerations_refuse_before_enumerating():
         complete(10**5, 3)
     with pytest.raises(BudgetExceededError):
         complement(Hypergraph(3, 10**5, frozenset()))
+    # C(10^6, 5 * 10^5) takes seconds to compute; its lower bound 2^500000
+    # refuses at once
+    for enumerate_all in (lambda: complete(10**6, 5 * 10**5),
+                          lambda: complement(Hypergraph(5 * 10**5, 10**6, frozenset()))):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"at least 2\^500000 "):
+            enumerate_all()
+        assert time.perf_counter() - started < 1.0
     with pytest.raises(BudgetExceededError):
         turan_graph(10**5, 3, 3)
     # C(60, 59) = 60 subsets would pass; sampling C(60, 30) r-sets must not

@@ -48,6 +48,10 @@ def test_validation():
         Hypergraph(3, 4, frozenset({(0, 2, 1)}))
     with pytest.raises(ValueError):
         Hypergraph(3, 4, frozenset({(0, 1, 4)}))
+    with pytest.raises(ValueError, match="out of range"):
+        Hypergraph(3, 4, frozenset({(-1, 0, 1)}))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Hypergraph(3, 4, frozenset({(0, 1, 1)}))
     with pytest.raises(ValueError):
         hypergraph(3, 4, [(0, 1, 1)])
 
@@ -211,3 +215,17 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
         parse(text)
     assert exc.value.line == lineno
     assert fragment in str(exc.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 6),
+       st.lists(st.integers(-2, 7), min_size=1, max_size=5).map(tuple))
+def test_values_and_files_share_one_edge_rule(r, n, e):
+    text = f"{r} {n}\n{' '.join(map(str, e))}\n"
+    try:
+        g = Hypergraph(r, n, frozenset({e}))
+    except ValueError:
+        with pytest.raises(ParseError):
+            parse(text)
+    else:
+        assert parse(text) == g
