@@ -16,8 +16,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False) -> None:
-    """Refuse work above the allowed amount.  Every enumeration calls this
-    once with its whole cost, before it starts, so it never stops halfway.
+    """Refuse work above the allowed amount.  Every enumeration is charged
+    its whole cost before it starts (see charge_binomial for one binomial).
     With log2, work is a b for a cost of at least 2^b, refused uncomputed if
     b >= EXACT_BITS and 2^b > allowed; else the caller charges the exact cost."""
     bits = work if log2 else work.bit_length() - 1  # the cost is at least 2^bits
@@ -28,13 +28,13 @@ def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False)
         raise BudgetExceededError(f"{what} needs {work} units of work, above the budget of {allowed}")
 
 
-def charge_binomial(n: int, k: int, what: str, allowed: int = WORK_CAP) -> int:
-    """Charge C(n, k) units of work and return C(n, k).  The lower bound
-    C(n, k) >= 2^min(k, n - k) is charged first, so a count of 2^EXACT_BITS
-    or more over the budget refuses before the binomial, slow to compute for
+def charge_binomial(n: int, k: int, what: str) -> int:
+    """Charge C(n, k) units of work against WORK_CAP and return C(n, k).
+    The lower bound C(n, k) >= 2^min(k, n - k) is charged first, so a count
+    of 2^EXACT_BITS or more refuses before the binomial, slow to compute for
     large k near n/2, is computed."""
     if 0 <= k <= n:
-        charge(min(k, n - k), what, allowed, log2=True)
+        charge(min(k, n - k), what, log2=True)
     work = binomial(n, k)
-    charge(work, what, allowed)
+    charge(work, what)
     return work
