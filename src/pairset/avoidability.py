@@ -264,18 +264,15 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
         CheckedInequality(f"decomposition: C({x},{r}) <= floor(C(m,{r})/2)", binomial(x, r), "<=", f0),
         CheckedInequality(f"decomposition: floor < C({x + 1},{r})", f0, "<", binomial(x + 1, r)),
     ]
-    headroom = CheckedInequality(
-        f"headroom: C({x - 1},{r - 1}) > 2m + 2", binomial(x - 1, r - 1), ">", 2 * m + 2
-    )
-    if not headroom.verify():
-        raise BelowThresholdError(m, r, headroom)
-    trace.append(headroom)
 
     def require(check: CheckedInequality) -> None:
         if not check.verify():
             raise BelowThresholdError(m, r, check)
         trace.append(check)
 
+    require(
+        CheckedInequality(f"headroom: C({x - 1},{r - 1}) > 2m + 2", binomial(x - 1, r - 1), ">", 2 * m + 2)
+    )
     if binomial(x, r) + m < f0:
         if c0 < binomial(x + 1, r):
             # case 1: both halves sit in the same clique gap at k = x
@@ -343,17 +340,11 @@ def positive_density_candidates(m: int, r: int, *, strict: bool = False) -> set[
 
 def certificate_document(cert: AvoidabilityCertificate) -> dict:
     """Stable dictionary form of a certificate: {pair, checks, conclusion, trace}."""
-    checks = []
-    for target, absence in (("f", cert.absence_f), ("complement", cert.absence_fbar)):
-        if absence is not None:
-            checks.append(
-                {
-                    "kind": absence.kind,
-                    "target": target,
-                    "outcome": "absent",
-                    "failures": [_check_dict(c) for c in absence.failures],
-                }
-            )
+    checks = [
+        _check_doc(absence, target)
+        for target, absence in (("f", cert.absence_f), ("complement", cert.absence_fbar))
+        if absence is not None
+    ]
     return {
         "pair": {"r": cert.pair.r, "m": cert.pair.m, "f": cert.pair.f},
         "checks": checks,
@@ -367,3 +358,11 @@ def certificate_document(cert: AvoidabilityCertificate) -> dict:
 
 def _check_dict(c: CheckedInequality) -> dict:
     return {"label": c.label, "lhs": c.lhs, "op": c.op, "rhs": c.rhs, "expected": c.expected}
+
+
+def _check_doc(w: RealizabilityWitness | AbsenceProof, target: str) -> dict:
+    """One realizability check's document entry: its witness, or every failure."""
+    if isinstance(w, RealizabilityWitness):
+        return {"kind": w.kind, "target": target, "outcome": "witness", "x": w.x, "h": w.h}
+    failures = [_check_dict(c) for c in w.failures]
+    return {"kind": w.kind, "target": target, "outcome": "absent", "failures": failures}

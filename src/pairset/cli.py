@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import avoidability, constructions, density, oracle
-from .avoidability import CheckedInequality, RealizabilityWitness, certificate_document
+from .avoidability import CheckedInequality, _check_doc, certificate_document
 from .combinatorics import binomial
 from .errors import BudgetExceededError
 from .hypergraph import parse as parse_graph
@@ -58,13 +58,6 @@ def _certificate_text(doc: dict) -> list[str]:
         "trace:",
         *(f"  {CheckedInequality(**c).render()}" for c in doc["trace"]),
     ]
-
-
-def _check_doc(w, target: str) -> dict:
-    if isinstance(w, RealizabilityWitness):
-        return dict(asdict(w), outcome="witness", target=target)
-    failures = [asdict(c) for c in w.failures]
-    return {"outcome": "absent", "kind": w.kind, "target": target, "failures": failures}
 
 
 def _avoid(args) -> dict:

@@ -104,13 +104,23 @@ def colex_key(subset: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of range(n) in colex order; position equals colex rank."""
-    if k == 0:
-        yield ()
+    """All k-subsets of range(n) in colex order; position equals colex rank.
+
+    Each subset follows from the one before: its lowest element that can
+    move up by one does, and the elements below it reset to 0, 1, ....
+    """
+    if k > n:
         return
-    for top in range(k - 1, n):
-        for rest in subsets_colex(top, k - 1):
-            yield rest + (top,)
+    s = [*range(k), n]  # n stands above every element
+    while True:
+        yield tuple(s[:k])
+        i = 0
+        while i < k and s[i] + 1 == s[i + 1]:
+            i += 1
+        if i == k:
+            return
+        s[i] += 1
+        s[:i] = range(i)
 
 
 @dataclass(frozen=True)

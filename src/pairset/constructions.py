@@ -19,7 +19,7 @@ from .combinatorics import (
     turan_count,
 )
 from .errors import charge, charge_binomial
-from .hypergraph import Hypergraph, _first_violation, complement, complete, disjoint_union
+from .hypergraph import Hypergraph, complement, complete, disjoint_union, is_sparse
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
 BASE_TIGHT_CYCLE = "tight-5-cycle"
@@ -116,11 +116,14 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     most m edges.
 
     Each r-set is kept independently with probability derived from the
-    density constant.  If the sparsity check finds a violating m-set, one
-    repair pass visits every m-set through each remaining edge, in colex
-    order of the edges, and deletes the lowest-colex edge of a violating
-    set until it complies.  Edges are only ever removed, so a set fixed
-    when it is visited stays fixed and one pass leaves none.  The result is
+    density constant.  A sample that is_sparse accepts is the result.
+    Otherwise one repair pass visits, for each sampled edge in colex order
+    that is still present (its anchor turn), every m-set through it, and
+    deletes the lowest-colex edge of a violating set until it complies.
+    One pass suffices: an m-set still holding more than m edges at the end
+    holds a surviving edge b; b was present at its own anchor turn, when the
+    pass visited the set and left it at most m edges, and edges are only
+    ever removed.  The colex order fixes which edges go, so the result is
     fully determined by the seed.
     """
     n, r, m = config.n, config.r, config.m
@@ -128,14 +131,15 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     charge_binomial(n, m, f"sparsity check over C({n},{m}) subsets")
     p = min(1.0, float(config.density_constant) * n ** (-m / (m + 1)))
     rng = random.Random(config.seed)
-    edges = {t for t in subsets_colex(n, r) if rng.random() < p}
-    sampled = len(edges)
+    sample = [t for t in subsets_colex(n, r) if rng.random() < p]
+    g = Hypergraph(r, n, frozenset(sample))
     repairs = 0
-    while _first_violation(edges, n, r, m, m) is not None:
+    if not is_sparse(g, m):
         # the pass looks up the C(m, r) r-sets of C(n - r, m - r) m-sets per edge
-        charge(len(edges) * binomial(n - r, m - r) * binomial(m, r),
-               f"repair pass over {len(edges)} x C({n - r},{m - r}) m-sets x C({m},{r}) r-set lookups")
-        for anchor in sorted(edges, key=colex_key):
+        charge(len(sample) * binomial(n - r, m - r) * binomial(m, r),
+               f"repair pass over {len(sample)} x C({n - r},{m - r}) m-sets x C({m},{r}) r-set lookups")
+        edges = set(sample)
+        for anchor in sample:
             if anchor not in edges:
                 continue
             inside_anchor = set(anchor)
@@ -148,8 +152,8 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
                     edges.remove(victim)
                     inside.remove(victim)
                     repairs += 1
-    log = SparseGenLog(p, round(p * slots), sampled, repairs, len(edges))
-    return Hypergraph(r, n, frozenset(edges)), log
+        g = Hypergraph(r, n, frozenset(edges))
+    return g, SparseGenLog(p, round(p * slots), len(sample), repairs, g.edge_count)
 
 
 def realize_clique_plus_sparse(
@@ -183,10 +187,6 @@ def realize_clique_plus_sparse(
     if h == 0:
         return Hypergraph(r, n, complete(k, r).edges)  # the clique plus isolated vertices
     v = n - k
-    if v < r:
-        raise ValueError(
-            f"infeasible: {h} leftover edges need at least {r} of the {v} non-clique vertices"
-        )
     if v <= m:
         raise ValueError(
             f"infeasible: the sparse generator needs more than m={m} vertices, has {v}"

@@ -229,24 +229,12 @@ def spectrum(g: Hypergraph, m: int) -> Spectrum:
     return Spectrum(m, _scan(g.edges, g.n, g.r, m))
 
 
-def _first_violation(
-    edges: Collection[tuple[int, ...]], n: int, r: int, m: int, limit: int
-) -> tuple[int, ...] | None:
-    """Some m-subset of range(n) inducing more than limit edges, or None.
-
-    _scan with a limit, so it charges the C(n, m) subsets and stops at the
-    first such subset, or the first prefix inducing more than limit edges.
-    edges is only read, so a caller may pass the set it is repairing.
-    """
-    return _scan(edges, n, r, m, limit)
-
-
 def is_sparse(g: Hypergraph, m: int) -> bool:
     """True iff every m-vertex subset induces at most m edges; the kernel
     charges the C(n, m) subsets it scans."""
     if m < 0:
         raise ValueError(f"subset order must be >= 0, got {m}")
-    return _first_violation(g.edges, g.n, g.r, m, m) is None
+    return _scan(g.edges, g.n, g.r, m, m) is None
 
 
 def serialize(g: Hypergraph) -> str:

@@ -1,3 +1,4 @@
+import doctest
 import json
 import re
 import shlex
@@ -98,6 +99,16 @@ def test_oracle_arrows_deep_e(capsys):
         assert code == 0
         doc = json.loads(out)
         assert (doc["arrows"], doc["graphs_examined"]) == (True, examined)
+
+
+def test_oracle_arrows_wide_rsets(capsys):
+    # C(1000, 999) = 1,000 r-sets of 999 vertices each; enumerating them
+    # takes no recursion depth
+    code, out, _ = run(
+        capsys, "oracle", "arrows", "--n", "1000", "--e", "1", "--r", "999", "--m", "1000", "--f", "0",
+    )
+    assert code == 0
+    assert "arrows: false\ngraphs_examined: 1\n" in out
 
 
 def test_oracle_budget_exit_code(capsys):
@@ -312,3 +323,10 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_python_block_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    assert doctest.DocTestRunner().run(test) == (0, 5)  # (failed, attempted)

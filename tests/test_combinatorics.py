@@ -16,6 +16,7 @@ from pairset.combinatorics import (
     turan_count,
     turan_ratio,
 )
+from reference import colex
 
 
 def test_binomial_values():
@@ -153,6 +154,11 @@ def test_colex_order_and_rank():
     subsets = list(subsets_colex(6, 3))
     assert subsets == sorted(subsets, key=colex_key)
     assert len(subsets) == binomial(6, 3)
+    for n in range(10):
+        for k in range(n + 2):
+            assert list(subsets_colex(n, k)) == colex(n, k)
+    # the successor is iterative, so a large k costs no recursion depth
+    assert next(subsets_colex(2000, 1999)) == tuple(range(1999))
 
 
 def test_pair_query_validation():

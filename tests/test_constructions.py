@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, colex_key, partite_sizes, turan_count
 from pairset.constructions import (
@@ -21,6 +23,7 @@ from pairset.constructions import (
 from pairset.errors import BudgetExceededError
 from pairset.hypergraph import Hypergraph, complement, complete, induced, is_sparse, serialize, spectrum
 from pairset.oracle import graph_arrows
+from reference import reference_counts
 
 
 def reference_turan_edges(n, l, r):
@@ -144,6 +147,26 @@ def test_random_sparse_repairs_dense_samples():
     g, log = random_sparse(config)
     assert log.repairs > 0
     assert is_sparse(g, 5)
+
+
+@st.composite
+def dense_sparse_configs(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(r, 10))
+    n = draw(st.integers(m + 1, 11))
+    constant = draw(st.fractions(Fraction(1, 4), 16, max_denominator=4))
+    return SparseGenConfig(n, r, m, draw(st.integers(0, 10**6)), density_constant=constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_sparse_configs())
+@example(SparseGenConfig(11, 3, 5, 5, density_constant=Fraction(16)))
+def test_random_sparse_output_is_sparse(config):
+    # the one repair pass, with no re-scan after it, leaves every m-set with
+    # at most m edges; checked by the plain loop, not by the kernel
+    g, log = random_sparse(config)
+    assert max(reference_counts(g, config.m)) <= config.m
+    assert log.final_edges == g.edge_count == log.sampled_edges - log.repairs
 
 
 def test_random_sparse_validation():

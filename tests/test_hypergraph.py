@@ -11,7 +11,7 @@ from pairset.errors import BudgetExceededError
 from pairset.hypergraph import (
     Hypergraph,
     ParseError,
-    _first_violation,
+    _scan,
     complement,
     complete,
     disjoint_union,
@@ -162,7 +162,7 @@ def test_scan_kernel_matches_reference(case):
     assert spectrum(g, m).counts == Counter(counts)
     for f in range(binomial(m, g.r) + 1):
         assert graph_arrows(g, m, f) == (f in counts)
-        found = _first_violation(g.edges, g.n, g.r, m, f)
+        found = _scan(g.edges, g.n, g.r, m, f)
         if max(counts) <= f:
             assert found is None
         else:
