@@ -18,7 +18,6 @@ from .avoidability import (
 )
 from .combinatorics import (
     PairQuery,
-    Rational,
     binomial,
     binomial_decompose,
     falling_factorial,
@@ -54,6 +53,7 @@ from .hypergraph import (
     complement,
     complete,
     disjoint_union,
+    graph_arrows,
     hypergraph,
     induced,
     is_sparse,
@@ -64,7 +64,6 @@ from .hypergraph import (
 from .oracle import (
     ArrowVerdict,
     BlowupReport,
-    graph_arrows,
     non_arrowing_sizes,
     pair_arrows,
     verify_blowup_claims,

@@ -11,8 +11,6 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterator
 
-Rational = Fraction
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n. Both arguments must be non-negative."""

@@ -135,7 +135,9 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     g = Hypergraph(r, n, frozenset(sample))
     repairs = 0
     if not is_sparse(g, m):
-        # the pass looks up the C(m, r) r-sets of C(n - r, m - r) m-sets per edge
+        # the pass looks up the C(m, r) r-sets of C(n - r, m - r) m-sets per edge;
+        # C(n - r, m - r) <= C(n, m) and C(m, r) <= C(n, r), both charged above and
+        # so at most WORK_CAP, hence this exact charge needs no lower bound first
         charge(len(sample) * binomial(n - r, m - r) * binomial(m, r),
                f"repair pass over {len(sample)} x C({n - r},{m - r}) m-sets x C({m},{r}) r-set lookups")
         edges = set(sample)
@@ -175,7 +177,8 @@ def realize_clique_plus_sparse(
         raise ValueError(f"need m >= r >= 2, got m={m}, r={r}")
     if e < 0:
         raise ValueError(f"edge count must be >= 0, got {e}")
-    if 2 * e > binomial(n, r):
+    # while 2e < 2^min(r, n - r) <= C(n, r), C(n, r) need not be computed
+    if (2 * e).bit_length() > min(r, n - r) and 2 * e > binomial(n, r):
         raise ValueError(
             f"e={e} exceeds the density cap 1/2 * C({n},{r}) = "
             f"{Fraction(binomial(n, r), 2)}; realize the complement instead"
@@ -222,9 +225,12 @@ def realize_complement_sparse(
     Implemented as the complement of realize_clique_plus_sparse at the
     complementary size C(n, r) - e.
     """
+    below_half = f"e={e} is below (1 - 1/2) * C({n},{r}); realize the pair directly instead"
+    if 0 <= e and (2 * e).bit_length() <= min(r, n - r):  # 2e < 2^min(r, n - r) <= C(n, r)
+        raise ValueError(below_half)
     total = binomial(n, r)
     if not 0 <= e <= total:
         raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {total}], got {e}")
     if 2 * (total - e) > total:
-        raise ValueError(f"e={e} is below (1 - 1/2) * C({n},{r}); realize the pair directly instead")
+        raise ValueError(below_half)
     return complement(realize_clique_plus_sparse(n, total - e, r, m, seed=seed))

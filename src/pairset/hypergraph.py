@@ -1,7 +1,7 @@
 """Uniform hypergraph values plus induced-subgraph queries and file I/O.
 
-Every induced-count query (spectrum, the sparsity check, and
-oracle.graph_arrows) runs on one private kernel, _scan: a depth-first
+Every induced-count query (spectrum, is_sparse and graph_arrows) runs on
+one private kernel, _scan, which no other module calls: a depth-first
 search over the m-subsets that carries the counts of each prefix forward,
 so the last vertex of an m-subset costs one list read instead of C(m, r)
 r-set lookups.  The kernel charges its own C(n, m) subsets, and complete
@@ -16,6 +16,7 @@ from itertools import combinations
 from operator import lt
 from typing import Collection, Iterable, Sequence
 
+from .combinatorics import binomial
 from .errors import charge_binomial
 
 
@@ -112,18 +113,6 @@ class Spectrum:
 
     m: int
     counts: dict[int, int]
-
-    @property
-    def max(self) -> int:
-        return max(self.counts)
-
-    @property
-    def min(self) -> int:
-        return min(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _scan(
@@ -235,6 +224,15 @@ def is_sparse(g: Hypergraph, m: int) -> bool:
     if m < 0:
         raise ValueError(f"subset order must be >= 0, got {m}")
     return _scan(g.edges, g.n, g.r, m, m) is None
+
+
+def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
+    """True iff some m-subset of g induces exactly f edges."""
+    if not 0 <= m <= g.n:
+        raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
+    if not 0 <= f <= binomial(m, g.r):
+        raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
+    return f in _scan(g.edges, g.n, g.r, m)
 
 
 def serialize(g: Hypergraph) -> str:

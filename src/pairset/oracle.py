@@ -19,7 +19,7 @@ from itertools import combinations
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
 from .errors import charge
-from .hypergraph import Hypergraph, _scan, complement, hypergraph, spectrum
+from .hypergraph import Hypergraph, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -35,15 +35,6 @@ class ArrowVerdict:
     arrows: bool
     counterexample: Hypergraph | None
     graphs_examined: int
-
-
-def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
-    """True iff some m-subset of g induces exactly f edges."""
-    if not 0 <= m <= g.n:
-        raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
-    if not 0 <= f <= binomial(m, g.r):
-        raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
-    return f in _scan(g.edges, g.n, g.r, m)
 
 
 def _tables(n: int, r: int, m: int) -> tuple[list, list]:
@@ -85,17 +76,19 @@ def pair_arrows(
     """
     if r < 2 or n < 0:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
-    slots = binomial(n, r)
-    if not 0 <= e <= slots:
-        raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {slots}], got {e}")
     if not 0 <= m <= n:
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
     if not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
     allowed = resolve_budget(budget)
     what = "pair_arrows (raise the budget with --budget)"
+    if 0 < e and e.bit_length() <= min(r, n - r):  # e < C(n, r), so C(C(n, r), e) >= C(n, r)
+        charge(min(r, n - r) + min(m, n - m), what, allowed, log2=True)  # C(n, r) >= 2^min(r, n - r)
+    slots = binomial(n, r)
+    if not 0 <= e <= slots:
+        raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {slots}], got {e}")
     charge(min(e, slots - e) + min(m, n - m), what, allowed, log2=True)  # C(a, b) >= 2^min(b, a - b)
-    charge(binomial(slots, e) * max(1, binomial(n, m)), what, allowed)
+    charge(binomial(slots, e) * binomial(n, m), what, allowed)
     query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
         if f == (binomial(m, r) if e else 0):
@@ -194,19 +187,15 @@ def verify_blowup_claims(depth: int) -> BlowupReport:
         )
     sp = spectrum(g, 6)
     spc = spectrum(complement(g), 6)
-    mx = sp.max
-    mn = spc.min
+    mx = max(sp.counts)
+    mn = min(spc.counts)
     low = (0, g.edge_count) if mx < 10 else None
     high = (slots - g.edge_count, slots) if mn > 10 else None
-    covered = 0
-    if low is not None:
-        covered += low[1] - low[0] + 1
-    if high is not None:
-        covered += high[1] - high[0] + 1
-        if low is not None and high[0] <= low[1]:
-            covered = slots + 1  # intervals overlap and jointly cover everything
+    # [0, E] and [C - E, C] overlap exactly when their lengths sum past C + 1,
+    # and then jointly cover all C + 1 sizes
+    covered = min(slots + 1, sum(b - a + 1 for a, b in filter(None, (low, high))))
     return BlowupReport(
         depth, g.n, g.edge_count, slots, density,
-        mx, mn, low, high, covered, sp.total + spc.total,
+        mx, mn, low, high, covered, sum(sp.counts.values()) + sum(spc.counts.values()),
         "subgraphs keep 6-set maxima, supergraphs of the complement keep 6-set minima",
     )

@@ -3,6 +3,7 @@ against: plain loops over the definitions, kept in this one module."""
 
 from itertools import combinations
 
+from pairset.combinatorics import partite_sizes
 from pairset.hypergraph import hypergraph
 
 
@@ -36,3 +37,13 @@ def reference_arrows(n, e, r, m, f):
         if f not in reference_counts(g, m):
             return False, g, examined
     return True, None, examined
+
+
+def reference_turan_edges(n, l, r):
+    """The r-sets of range(n) that meet r distinct balanced parts: the
+    filter over all C(n, r) r-sets that turan_graph and turan_count are
+    tested against."""
+    part_of = []
+    for i, s in enumerate(partite_sizes(n, l)):
+        part_of.extend([i] * s)
+    return {t for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r}

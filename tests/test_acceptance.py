@@ -51,12 +51,13 @@ from pairset.hypergraph import (
     complement,
     complete,
     disjoint_union,
+    graph_arrows,
     hypergraph,
     is_sparse,
     serialize,
     spectrum,
 )
-from pairset.oracle import graph_arrows, non_arrowing_sizes, pair_arrows, verify_blowup_claims
+from pairset.oracle import non_arrowing_sizes, pair_arrows, verify_blowup_claims
 
 
 def _finish(name: str, started: float, budget: float, ok: bool, detail: str = "") -> None:

@@ -141,6 +141,7 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("oracle", "arrows", "--n", "2000", "--e", "3000000", "--r", "3", "--m", "4", "--f", "0"),
         ("spectrum", "--in", str(huge), "--m", "500000"),
         ("construct", "sparse", "--n", "1000000", "--r", "500000", "--m", "500001"),
+        ("oracle", "arrows", "--n", "300000", "--e", "1", "--r", "150000", "--m", "4", "--f", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -195,6 +196,26 @@ def test_construct_realize(tmp_path, capsys):
     assert code == 0
     g = parse(path.read_text())
     assert (g.n, g.edge_count) == (12, 35)
+
+
+def test_realize_wide_rsets_answers_at_once(tmp_path, capsys):
+    # 2e < 2^min(r, n - r) <= C(n, r) places e below half without computing
+    # C(300000, 150000), which takes seconds of math.comb
+    path = tmp_path / "w.hg"
+    argv = ("construct", "realize", "--n", "300000", "--e", "1", "--r", "150000",
+            "--m", "150000", "--out", str(path))
+    started = time.perf_counter()
+    code, _, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    header, edge = path.read_text().splitlines()
+    assert header == "150000 300000"
+    assert edge.split() == [str(v) for v in range(150000)]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--kind", "complement-sparse")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert "is below (1 - 1/2) * C(300000,150000)" in err
 
 
 def test_usage_errors_exit_one(capsys):

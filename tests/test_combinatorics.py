@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 import pytest
@@ -16,7 +15,7 @@ from pairset.combinatorics import (
     turan_count,
     turan_ratio,
 )
-from reference import colex
+from reference import colex, reference_turan_edges
 
 
 def test_binomial_values():
@@ -80,15 +79,6 @@ def test_partite_sizes():
             assert set(sizes) <= {n // l, n // l + 1}
 
 
-def _turan_count_bruteforce(n: int, l: int, r: int) -> int:
-    part_of = []
-    for i, s in enumerate(partite_sizes(n, l)):
-        part_of.extend([i] * s)
-    return sum(
-        1 for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r
-    )
-
-
 def test_turan_count_values():
     assert turan_count(6, 3, 3) == 8
     assert turan_count(12, 4, 3) == 108
@@ -99,7 +89,7 @@ def test_turan_count_matches_bruteforce():
     for n in range(0, 13):
         for l in range(1, n + 1):
             for r in (2, 3, 4):
-                assert turan_count(n, l, r) == _turan_count_bruteforce(n, l, r)
+                assert turan_count(n, l, r) == len(reference_turan_edges(n, l, r))
 
 
 def test_max_parts_boundaries():

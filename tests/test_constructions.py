@@ -1,13 +1,14 @@
 import hashlib
 import time
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairset.combinatorics import binomial, colex_key, partite_sizes, turan_count
+from pairset.avoidability import absolutely_avoidable
+from pairset.combinatorics import binomial, colex_key, turan_count
 from pairset.constructions import (
     BASE_SINGLE_EDGE,
     BASE_TIGHT_CYCLE,
@@ -21,18 +22,17 @@ from pairset.constructions import (
     turan_graph,
 )
 from pairset.errors import BudgetExceededError
-from pairset.hypergraph import Hypergraph, complement, complete, induced, is_sparse, serialize, spectrum
-from pairset.oracle import graph_arrows
-from reference import reference_counts
-
-
-def reference_turan_edges(n, l, r):
-    """The r-sets of range(n) that meet r distinct balanced parts: the
-    filter over all C(n, r) r-sets that turan_graph is tested against."""
-    part_of = []
-    for i, s in enumerate(partite_sizes(n, l)):
-        part_of.extend([i] * s)
-    return {t for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r}
+from pairset.hypergraph import (
+    Hypergraph,
+    complement,
+    complete,
+    graph_arrows,
+    induced,
+    is_sparse,
+    serialize,
+    spectrum,
+)
+from reference import reference_counts, reference_turan_edges
 
 
 def test_turan_graph_matches_reference():
@@ -248,6 +248,54 @@ def test_realize_complement_validation():
         realize_complement_sparse(10, 20, 3, 5)  # below half; realize directly
     with pytest.raises(ValueError):
         realize_complement_sparse(10, 121, 3, 5)
+
+
+@cache
+def _certified(m, r):
+    """The sizes f that absolutely_avoidable certifies at (m, r)."""
+    return frozenset(f for f in range(binomial(m, r) + 1) if absolutely_avoidable(m, f, r))
+
+
+def _realized_host(n, e, r, m, seed=0):
+    """The host built for (n, e): clique plus sparse up to half of the
+    r-sets, its complement above; None where the constructor refuses e as
+    infeasible at this n."""
+    realize = realize_clique_plus_sparse if 2 * e <= binomial(n, r) else realize_complement_sparse
+    try:
+        host = realize(n, e, r, m, seed=seed)
+    except ValueError:
+        return None
+    assert (host.n, host.edge_count) == (n, e)
+    return host
+
+
+# hosts built of the C(n, 3) + 1 sizes; the rest (76%, 84% and 95%) are
+# refused, since at these n the part beside the clique has at most m vertices
+# or too few sparse edges
+@pytest.mark.parametrize("m, n, built", [(6, 14, 86), (8, 15, 74), (12, 16, 26)])
+def test_certified_sizes_absent_from_realized_hosts(m, n, built):
+    certified = _certified(m, 3)
+    assert m != 12 or 110 in certified  # theorem-main's size at m = 12
+    hosts = [_realized_host(n, e, 3, m) for e in range(binomial(n, 3) + 1)]
+    hosts = [h for h in hosts if h is not None]
+    assert len(hosts) == built
+    for host in hosts:
+        # an induced m-set of either host has C(x, 3) + h edges, h <= min(m, C(m - x, 3)),
+        # or C(m, 3) minus that, so a certified f, refuted on both sides, never appears
+        assert not certified & spectrum(host, m).counts.keys(), host
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certified_sizes_absent_from_any_realized_host(data):
+    m = data.draw(st.integers(min_value=4, max_value=8), label="m")
+    n = data.draw(st.integers(min_value=m + 1, max_value=15), label="n")
+    e = data.draw(st.integers(min_value=0, max_value=binomial(n, 3)), label="e")
+    seed = data.draw(st.integers(min_value=0, max_value=3), label="seed")
+    host = _realized_host(n, e, 3, m, seed)
+    if host is None:
+        return
+    assert not _certified(m, 3) & spectrum(host, m).counts.keys()
 
 
 # sha256 prefixes of serialize() and the full generator logs, recorded before
