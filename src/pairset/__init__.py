@@ -29,8 +29,6 @@ from .combinatorics import (
 from .constructions import (
     BASE_SINGLE_EDGE,
     BASE_TIGHT_CYCLE,
-    BlowupSpec,
-    SparseGenConfig,
     SparseGenLog,
     iterated_blowup,
     random_sparse,
@@ -54,7 +52,6 @@ from .hypergraph import (
     complete,
     disjoint_union,
     graph_arrows,
-    hypergraph,
     induced,
     is_sparse,
     parse,

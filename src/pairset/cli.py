@@ -169,13 +169,11 @@ def _turan(args) -> None:
 
 
 def _blowup(args) -> None:
-    spec = constructions.BlowupSpec(args.base, args.depth)
-    _write_graph(args, constructions.iterated_blowup(spec))
+    _write_graph(args, constructions.iterated_blowup(args.base, args.depth))
 
 
 def _sparse(args) -> None:
-    config = constructions.SparseGenConfig(args.n, args.r, args.m, args.seed, args.constant)
-    g, log = constructions.random_sparse(config)
+    g, log = constructions.random_sparse(args.n, args.r, args.m, args.seed, args.constant)
     print(json.dumps(asdict(log), sort_keys=True), file=sys.stderr)
     _write_graph(args, g)
 

@@ -32,42 +32,6 @@ _BLOWUP_BASES = {
 
 
 @dataclass(frozen=True)
-class BlowupSpec:
-    base: str
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.base not in _BLOWUP_BASES:
-            raise ValueError(f"unknown blow-up base {self.base!r}; choose from {sorted(_BLOWUP_BASES)}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-
-    @property
-    def edge_count(self) -> int:
-        """Edges of the blow-up, without building it: the recurrence
-        count' = copies * count + joins * n**3, n = copies**level, solved."""
-        c, joins = _BLOWUP_BASES[self.base]
-        return len(joins) * c ** (self.depth - 1) * (c ** (2 * self.depth) - 1) // (c**2 - 1)
-
-
-@dataclass(frozen=True)
-class SparseGenConfig:
-    n: int
-    r: int
-    m: int
-    seed: int
-    density_constant: Fraction = Fraction(1, 4)
-
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"uniformity must be >= 2, got {self.r}")
-        if not self.n > self.m >= self.r:
-            raise ValueError(f"need n > m >= r, got n={self.n}, m={self.m}, r={self.r}")
-        if self.density_constant <= 0:
-            raise ValueError("density_constant must be positive")
-
-
-@dataclass(frozen=True)
 class SparseGenLog:
     """Side-channel record of one generator run; never part of the graph."""
 
@@ -90,14 +54,25 @@ def turan_graph(n: int, l: int, r: int) -> Hypergraph:
     return Hypergraph(r, n, frozenset(edges))
 
 
-def iterated_blowup(spec: BlowupSpec) -> Hypergraph:
+def _blowup_edge_count(base: str, depth: int) -> int:
+    """Edges of the blow-up, without building it: the recurrence
+    count' = copies * count + joins * n**3, n = copies**level, solved."""
+    c, joins = _BLOWUP_BASES[base]
+    return len(joins) * c ** (depth - 1) * (c ** (2 * depth) - 1) // (c**2 - 1)
+
+
+def iterated_blowup(base: str, depth: int) -> Hypergraph:
     """Repeatedly replace every vertex by a copy of the previous level and
     join designated copy-triples by all transversal edges."""
-    copies, join_triples = _BLOWUP_BASES[spec.base]
-    charge(spec.edge_count, f"depth {spec.depth} {spec.base} blow-up edges")
+    if base not in _BLOWUP_BASES:
+        raise ValueError(f"unknown blow-up base {base!r}; choose from {sorted(_BLOWUP_BASES)}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    charge(_blowup_edge_count(base, depth), f"depth {depth} {base} blow-up edges")
+    copies, join_triples = _BLOWUP_BASES[base]
     n = 1
     edges: list[tuple[int, ...]] = []
-    for _ in range(spec.depth):
+    for _ in range(depth):
         nxt: list[tuple[int, ...]] = []
         for c in range(copies):
             off = c * n
@@ -111,7 +86,9 @@ def iterated_blowup(spec: BlowupSpec) -> Hypergraph:
     return Hypergraph(3, n, frozenset(edges))
 
 
-def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
+def random_sparse(
+    n: int, r: int, m: int, seed: int = 0, density_constant: Fraction = Fraction(1, 4)
+) -> tuple[Hypergraph, SparseGenLog]:
     """Sample-then-repair generator for m-sparse graphs: every m-set keeps at
     most m edges.
 
@@ -126,11 +103,16 @@ def random_sparse(config: SparseGenConfig) -> tuple[Hypergraph, SparseGenLog]:
     ever removed.  The colex order fixes which edges go, so the result is
     fully determined by the seed.
     """
-    n, r, m = config.n, config.r, config.m
+    if r < 2:
+        raise ValueError(f"uniformity must be >= 2, got {r}")
+    if not n > m >= r:
+        raise ValueError(f"need n > m >= r, got n={n}, m={m}, r={r}")
+    if density_constant <= 0:
+        raise ValueError("density_constant must be positive")
     slots = charge_binomial(n, r, f"sampling C({n},{r}) r-sets")
     charge_binomial(n, m, f"sparsity check over C({n},{m}) subsets")
-    p = min(1.0, float(config.density_constant) * n ** (-m / (m + 1)))
-    rng = random.Random(config.seed)
+    p = min(1.0, float(density_constant) * n ** (-m / (m + 1)))
+    rng = random.Random(seed)
     sample = [t for t in subsets_colex(n, r) if rng.random() < p]
     g = Hypergraph(r, n, frozenset(sample))
     repairs = 0
@@ -197,8 +179,7 @@ def realize_clique_plus_sparse(
     attempts = []
     c = Fraction(1, 4)
     for _ in range(4):
-        config = SparseGenConfig(v, r, m, seed, density_constant=c)
-        sparse, _log = random_sparse(config)
+        sparse, _log = random_sparse(v, r, m, seed, c)
         attempts.append(sparse.edge_count)
         if sparse.edge_count >= h:
             # a subset of an m-sparse edge set is m-sparse

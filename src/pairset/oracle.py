@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
-from .constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
+from .constructions import BASE_SINGLE_EDGE, iterated_blowup
 from .errors import charge
 from .hypergraph import Hypergraph, complement, hypergraph, spectrum
 
@@ -26,6 +26,8 @@ DEFAULT_BUDGET = 100_000_000
 
 def resolve_budget(budget: int | None = None) -> int:
     """The explicit budget (--budget on the command line), else the default."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     return DEFAULT_BUDGET if budget is None else budget
 
 
@@ -51,6 +53,16 @@ def _tables(n: int, r: int, m: int) -> tuple[list, list]:
     return rsets, masks
 
 
+def _check_query(n: int, r: int, m: int, f: int) -> None:
+    """The argument checks that both oracle queries make before any charge."""
+    if r < 2 or n < 0:
+        raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
+    if not 0 <= m <= n:
+        raise ValueError(f"subset order must lie in [0, {n}], got {m}")
+    if not 0 <= f <= binomial(m, r):
+        raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
+
+
 def pair_arrows(
     n: int, e: int, r: int, m: int, f: int, *,
     budget: int | None = None, tables: tuple | None = None,
@@ -74,12 +86,7 @@ def pair_arrows(
     or all C(C(n, r), e) of them when there is none.  tables, if given, is
     _tables(n, r, m), for a caller that asks many e of one (n, r, m).
     """
-    if r < 2 or n < 0:
-        raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
-    if not 0 <= m <= n:
-        raise ValueError(f"subset order must lie in [0, {n}], got {m}")
-    if not 0 <= f <= binomial(m, r):
-        raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
+    _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
     what = "pair_arrows (raise the budget with --budget)"
     if 0 < e and e.bit_length() <= min(r, n - r):  # e < C(n, r), so C(C(n, r), e) >= C(n, r)
@@ -143,11 +150,12 @@ def non_arrowing_sizes(
     n: int, r: int, m: int, f: int, *, budget: int | None = None
 ) -> set[int]:
     """All edge counts e for which (n, e) fails to arrow (m, f)."""
+    _check_query(n, r, m, f)
     slots = binomial(n, r)
     allowed = resolve_budget(budget)
     what = "sweeping all sizes (raise the budget with --budget)"
     charge(slots + min(m, n - m), what, allowed, log2=True)  # C(n, m) >= 2^min(m, n - m)
-    charge((2**slots) * max(1, binomial(n, m)), what, allowed)
+    charge((2**slots) * binomial(n, m), what, allowed)
     tables = _tables(n, r, m)  # built once for all sizes, freed on return
     return {e for e in range(slots + 1)
             if not pair_arrows(n, e, r, m, f, budget=allowed, tables=tables).arrows}
@@ -176,7 +184,7 @@ def verify_blowup_claims(depth: int) -> BlowupReport:
     the exhaustive maximum over induced 6-set sizes, the complementary
     minimum, and the derived intervals of edge counts that cannot arrow
     (6, 10)."""
-    g = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, depth))
+    g = iterated_blowup(BASE_SINGLE_EDGE, depth)
     slots = binomial(g.n, 3)
     density = Fraction(g.edge_count, slots)
     if g.n < 6:

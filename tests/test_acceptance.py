@@ -40,8 +40,6 @@ from pairset.avoidability import (
 from pairset.combinatorics import binomial, max_parts_below_half, turan_count
 from pairset.constructions import (
     BASE_SINGLE_EDGE,
-    BlowupSpec,
-    SparseGenConfig,
     iterated_blowup,
     random_sparse,
     turan_graph,
@@ -183,8 +181,8 @@ def test_criterion_4_near_half_sweep_to_500():
 
 def test_criterion_5_blowup_verification():
     t0 = time.perf_counter()
-    g3 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 3))
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g3 = iterated_blowup(BASE_SINGLE_EDGE, 3)
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     recurrence_ok = (
         g3.n == 27
         and g3.edge_count == 819
@@ -275,9 +273,8 @@ def test_criterion_7_property_suites():
                 problems.append(f"bound asymmetry at ({m},{f})")
 
     # seeded generator determinism
-    cfg = SparseGenConfig(24, 3, 6, seed=5)
-    g1, log1 = random_sparse(cfg)
-    g2, log2 = random_sparse(cfg)
+    g1, log1 = random_sparse(24, 3, 6, seed=5)
+    g2, log2 = random_sparse(24, 3, 6, seed=5)
     if serialize(g1) != serialize(g2) or log1 != log2:
         problems.append("generator nondeterminism")
 
@@ -318,7 +315,7 @@ def test_criterion_8_asymptotics_replaced_by_finite_checks():
     no_threshold = "n0" not in doc and "threshold" not in doc
     # the probabilistic edge-count guarantee is replaced by a verified
     # postcondition on the generator output at finite size
-    g, log = random_sparse(SparseGenConfig(30, 3, 6, seed=2))
+    g, log = random_sparse(30, 3, 6, seed=2)
     postcondition = is_sparse(g, 6) and log.final_edges == g.edge_count
     ok = no_threshold and postcondition
     _finish(

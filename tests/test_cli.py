@@ -228,6 +228,19 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "avoid", "--r", "3", "--m", "2", "--f", "0")
     assert code == 1
     assert "error" in err
+    # oracle sizes checks its arguments before it charges or builds anything
+    sizes = {
+        ("--n", "20", "--r", "3", "--m", "25", "--f", "0"): "subset order must lie in [0, 20], got 25",
+        ("--n", "12", "--r", "3", "--m", "13", "--f", "0"): "subset order must lie in [0, 12], got 13",
+        ("--n", "5", "--r", "3", "--m", "-1", "--f", "0"): "subset order must lie in [0, 5], got -1",
+        ("--n", "6", "--r", "4", "--m", "5", "--f", "99"): "size must lie in [0, C(5,4)], got 99",
+    }
+    for argv, message in sizes.items():
+        assert run(capsys, "oracle", "sizes", *argv) == (1, "", f"error: {message}\n")
+    # a negative budget is a usage error, not a refusal
+    query = ("--n", "5", "--e", "3", "--r", "3", "--m", "4", "--f", "1")
+    for argv in (("arrows", *query), ("sizes", *query[:2], *query[4:])):
+        assert run(capsys, "oracle", *argv, "--budget", "-5") == (1, "", "error: budget must be >= 0, got -5\n")
 
 
 def test_parser_reused_after_usage_errors(capsys):

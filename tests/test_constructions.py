@@ -12,9 +12,8 @@ from pairset.combinatorics import binomial, colex_key, turan_count
 from pairset.constructions import (
     BASE_SINGLE_EDGE,
     BASE_TIGHT_CYCLE,
-    BlowupSpec,
-    SparseGenConfig,
     SparseGenLog,
+    _blowup_edge_count,
     iterated_blowup,
     random_sparse,
     realize_clique_plus_sparse,
@@ -53,27 +52,27 @@ def test_turan_graph_counts():
 
 
 def test_blowup_depths():
-    g1 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 1))
+    g1 = iterated_blowup(BASE_SINGLE_EDGE, 1)
     assert (g1.n, g1.edge_count) == (3, 1)
     assert g1 == complete(3, 3)
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     assert (g2.n, g2.edge_count) == (9, 30)
-    g3 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 3))
+    g3 = iterated_blowup(BASE_SINGLE_EDGE, 3)
     assert (g3.n, g3.edge_count) == (27, 819)
 
 
 def test_blowup_recurrence_matches_enumeration():
     prev_n, prev_e = 1, 0
     for depth in range(1, 5):
-        g = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, depth))
+        g = iterated_blowup(BASE_SINGLE_EDGE, depth)
         assert g.n == 3 * prev_n
         assert g.edge_count == prev_n**3 + 3 * prev_e
         prev_n, prev_e = g.n, g.edge_count
 
 
 def test_blowup_density_approaches_a_quarter_from_above():
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
-    g3 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 3))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
+    g3 = iterated_blowup(BASE_SINGLE_EDGE, 3)
     d2 = Fraction(g2.edge_count, binomial(g2.n, 3))
     d3 = Fraction(g3.edge_count, binomial(g3.n, 3))
     assert d2 == Fraction(30, 84) == Fraction(5, 14)
@@ -83,53 +82,51 @@ def test_blowup_density_approaches_a_quarter_from_above():
 
 def test_blowup_budget():
     with pytest.raises(BudgetExceededError):
-        iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 6))
+        iterated_blowup(BASE_SINGLE_EDGE, 6)
     with pytest.raises(BudgetExceededError):
-        iterated_blowup(BlowupSpec(BASE_TIGHT_CYCLE, 4))
-    with pytest.raises(ValueError):
-        BlowupSpec("unknown", 2)
-    with pytest.raises(ValueError):
-        BlowupSpec(BASE_SINGLE_EDGE, 0)
+        iterated_blowup(BASE_TIGHT_CYCLE, 4)
+    with pytest.raises(ValueError, match="unknown blow-up base 'unknown'"):
+        iterated_blowup("unknown", 2)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        iterated_blowup(BASE_SINGLE_EDGE, 0)
 
 
 def test_blowup_edge_count_closed_form():
     # the closed form that iterated_blowup charges before it builds any edge
     for base, depths in ((BASE_SINGLE_EDGE, range(1, 5)), (BASE_TIGHT_CYCLE, range(1, 4))):
         for depth in depths:
-            spec = BlowupSpec(base, depth)
-            assert spec.edge_count == iterated_blowup(spec).edge_count
+            assert _blowup_edge_count(base, depth) == iterated_blowup(base, depth).edge_count
     # on either side of the work cap of 10**7 edges
-    assert BlowupSpec(BASE_SINGLE_EDGE, 5).edge_count == 597_861
-    assert BlowupSpec(BASE_SINGLE_EDGE, 6).edge_count == 16_142_490
-    assert BlowupSpec(BASE_TIGHT_CYCLE, 3).edge_count == 81_375
-    assert BlowupSpec(BASE_TIGHT_CYCLE, 4).edge_count == 10_172_500
+    assert _blowup_edge_count(BASE_SINGLE_EDGE, 5) == 597_861
+    assert _blowup_edge_count(BASE_SINGLE_EDGE, 6) == 16_142_490
+    assert _blowup_edge_count(BASE_TIGHT_CYCLE, 3) == 81_375
+    assert _blowup_edge_count(BASE_TIGHT_CYCLE, 4) == 10_172_500
 
 
 def test_tight_cycle_blowup():
-    c1 = iterated_blowup(BlowupSpec(BASE_TIGHT_CYCLE, 1))
+    c1 = iterated_blowup(BASE_TIGHT_CYCLE, 1)
     assert (c1.n, c1.edge_count) == (5, 5)
     assert sorted(c1.edges) == [
         (0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3), (2, 3, 4),
     ]
-    c2 = iterated_blowup(BlowupSpec(BASE_TIGHT_CYCLE, 2))
+    c2 = iterated_blowup(BASE_TIGHT_CYCLE, 2)
     assert (c2.n, c2.edge_count) == (25, 5 * 125 + 5 * 5)
     # interpretation check: the depth-2 object never induces a 6-set with 10 edges
     assert not graph_arrows(c2, 6, 10)
 
 
 def test_random_sparse_postconditions():
-    config = SparseGenConfig(30, 3, 6, seed=1)
-    g, log = random_sparse(config)
+    g, log = random_sparse(30, 3, 6, seed=1)
     assert is_sparse(g, 6)
     assert log.final_edges == g.edge_count
-    g_again, log_again = random_sparse(config)
+    g_again, log_again = random_sparse(30, 3, 6, seed=1)
     assert serialize(g_again) == serialize(g)
     assert log_again == log
 
 
 def test_random_sparse_logs_expected_sample_size():
     # the target is p * C(n, r): 0.25 * 20**(-6/7) * 1140 = 21.9
-    _, log = random_sparse(SparseGenConfig(20, 3, 6, seed=3))
+    _, log = random_sparse(20, 3, 6, seed=3)
     assert log.theoretical_target == 22
     assert log.theoretical_target == round(log.probability * binomial(20, 3))
     assert log.sampled_edges == 19
@@ -138,42 +135,46 @@ def test_random_sparse_logs_expected_sample_size():
 def test_random_sparse_supplies_enough_edges():
     # downstream clique fillers need at least C(7,2) = 21 edges at this scale
     for seed in range(20):
-        g, _ = random_sparse(SparseGenConfig(30, 3, 6, seed=seed))
+        g, _ = random_sparse(30, 3, 6, seed=seed)
         assert g.edge_count >= 21
 
 
 def test_random_sparse_repairs_dense_samples():
-    config = SparseGenConfig(12, 3, 5, seed=5, density_constant=Fraction(4, 1))
-    g, log = random_sparse(config)
+    g, log = random_sparse(12, 3, 5, seed=5, density_constant=Fraction(4, 1))
     assert log.repairs > 0
     assert is_sparse(g, 5)
 
 
 @st.composite
-def dense_sparse_configs(draw):
+def dense_sparse_args(draw):
     r = draw(st.sampled_from([2, 3, 4]))
     m = draw(st.integers(r, 10))
     n = draw(st.integers(m + 1, 11))
     constant = draw(st.fractions(Fraction(1, 4), 16, max_denominator=4))
-    return SparseGenConfig(n, r, m, draw(st.integers(0, 10**6)), density_constant=constant)
+    return (n, r, m, draw(st.integers(0, 10**6)), constant)
 
 
 @settings(max_examples=300, deadline=None)
-@given(dense_sparse_configs())
-@example(SparseGenConfig(11, 3, 5, 5, density_constant=Fraction(16)))
-def test_random_sparse_output_is_sparse(config):
+@given(dense_sparse_args())
+@example((11, 3, 5, 5, Fraction(16)))
+def test_random_sparse_output_is_sparse(args):
     # the one repair pass, with no re-scan after it, leaves every m-set with
     # at most m edges; checked by the plain loop, not by the kernel
-    g, log = random_sparse(config)
-    assert max(reference_counts(g, config.m)) <= config.m
+    g, log = random_sparse(*args)
+    m = args[2]
+    assert max(reference_counts(g, m)) <= m
     assert log.final_edges == g.edge_count == log.sampled_edges - log.repairs
 
 
 def test_random_sparse_validation():
-    with pytest.raises(ValueError):
-        SparseGenConfig(5, 3, 6, seed=0)  # n must exceed m
+    with pytest.raises(ValueError, match="need n > m >= r, got n=5, m=6, r=3"):
+        random_sparse(5, 3, 6, seed=0)  # n must exceed m
+    with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
+        random_sparse(12, 1, 5, seed=0)
+    with pytest.raises(ValueError, match="density_constant must be positive"):
+        random_sparse(12, 3, 5, seed=0, density_constant=Fraction(0))
     with pytest.raises(BudgetExceededError):
-        random_sparse(SparseGenConfig(60, 3, 20, seed=0))
+        random_sparse(60, 3, 20, seed=0)
 
 
 def test_enumerations_refuse_before_enumerating():
@@ -193,11 +194,11 @@ def test_enumerations_refuse_before_enumerating():
         turan_graph(10**5, 3, 3)
     # C(60, 59) = 60 subsets would pass; sampling C(60, 30) r-sets must not
     with pytest.raises(BudgetExceededError):
-        random_sparse(SparseGenConfig(60, 30, 59, 0))
+        random_sparse(60, 30, 59, 0)
     # 1,254 sampled edges x C(37, 3) m-sets would pass; the repair pass's
     # C(6, 3) r-set lookups in each of those m-sets must not
     with pytest.raises(BudgetExceededError, match="r-set lookups"):
-        random_sparse(SparseGenConfig(40, 3, 6, 0, density_constant=Fraction(3)))
+        random_sparse(40, 3, 6, 0, density_constant=Fraction(3))
 
 
 def test_realize_exact_clique_sizes():
@@ -357,8 +358,7 @@ def test_random_sparse_outputs_pinned():
     repairs = []
     for (n, r, constant, p), runs in PINNED_SPARSE:
         for seed, (digest, target, sampled, repaired, final) in enumerate(runs):
-            config = SparseGenConfig(n, r, 6, seed, density_constant=Fraction(constant))
-            g, log = random_sparse(config)
+            g, log = random_sparse(n, r, 6, seed, Fraction(constant))
             assert (_digest(g), log) == (digest, SparseGenLog(p, target, sampled, repaired, final))
             repairs.append(repaired)
     assert 0 in repairs and max(repairs) > 100

@@ -1,3 +1,5 @@
+import inspect
+import pkgutil
 from collections import Counter
 from itertools import combinations
 
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial
-from pairset.constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
+from pairset.constructions import BASE_SINGLE_EDGE, iterated_blowup
 from pairset.errors import BudgetExceededError
 from pairset.hypergraph import (
     Hypergraph,
@@ -33,6 +35,18 @@ def small_graphs(draw, max_n=7):
     slots = list(combinations(range(n), r))
     edges = draw(st.sets(st.sampled_from(slots)) if slots else st.just(set()))
     return hypergraph(r, n, edges)
+
+
+def test_package_attributes_do_not_shadow_submodules():
+    # `import pairset.hypergraph as h` reads the package attribute, so a
+    # re-exported name equal to a submodule's would bind that name instead
+    import pairset
+    import pairset.hypergraph as h
+
+    assert inspect.ismodule(h)
+    assert h.graph_arrows is graph_arrows
+    for info in pkgutil.iter_modules(pairset.__path__):
+        assert not hasattr(pairset, info.name) or inspect.ismodule(getattr(pairset, info.name)), info.name
 
 
 def test_complete_counts():
@@ -89,7 +103,7 @@ def test_induced_examples():
     assert induced(k6, [0, 2, 3, 5]) == complete(4, 3)
     g = hypergraph(3, 5, [(0, 1, 4), (1, 2, 3)])
     assert induced(g, range(5)) == g
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     two_copies = induced(g2, [0, 1, 2, 3, 4, 5])
     assert two_copies.edge_count == 2
     with pytest.raises(ValueError):
@@ -97,7 +111,7 @@ def test_induced_examples():
 
 
 def test_spectrum_examples():
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     sp = spectrum(g2, 6)
     assert max(sp.counts) == 8
     assert min(sp.counts) == 2
@@ -174,7 +188,7 @@ def test_scan_kernel_matches_reference(case):
 def test_is_sparse_examples():
     assert is_sparse(hypergraph(3, 8, []), 6)
     assert not is_sparse(complete(6, 3), 6)
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     assert not is_sparse(g2, 6)
     assert is_sparse(hypergraph(3, 4, [(0, 1, 2)]), 5)  # m > n is vacuous
 
@@ -186,7 +200,7 @@ def test_parse_basic():
 
 
 def test_serialize_round_trip():
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     assert parse(serialize(g2)) == g2
     assert serialize(parse(serialize(g2))) == serialize(g2)
 

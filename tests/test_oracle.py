@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, turan_count
-from pairset.constructions import BASE_SINGLE_EDGE, BlowupSpec, iterated_blowup
+from pairset.constructions import BASE_SINGLE_EDGE, iterated_blowup
 from pairset.errors import BudgetExceededError
 from pairset.hypergraph import complete, graph_arrows, hypergraph, induced, spectrum
 from pairset.oracle import (
@@ -23,7 +23,7 @@ from reference import reference_arrows
 
 def test_graph_arrows_examples():
     assert graph_arrows(complete(6, 3), 4, 4)
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     assert not graph_arrows(g2, 6, 10)
     assert graph_arrows(hypergraph(3, 8, []), 6, 0)
 
@@ -168,14 +168,14 @@ def test_verify_blowup_budget():
 
 
 def test_subgraph_monotonicity_of_six_set_maxima():
-    g2 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 2))
+    g2 = iterated_blowup(BASE_SINGLE_EDGE, 2)
     edges = sorted(g2.edges)
     rng = random.Random(11)
     for _ in range(100):
         keep = [e for e in edges if rng.random() < rng.random()]
         sub = hypergraph(3, 9, keep)
         assert max(spectrum(sub, 6).counts) <= 8
-    g3 = iterated_blowup(BlowupSpec(BASE_SINGLE_EDGE, 3))
+    g3 = iterated_blowup(BASE_SINGLE_EDGE, 3)
     edges3 = sorted(g3.edges)
     for _ in range(3):
         keep = [e for e in edges3 if rng.random() < 0.6]
