@@ -10,13 +10,16 @@ Two realization shapes are checked throughout.  A pair (m, f) is
   vertices with at most m edges removed, plus isolated vertices.
 
 Both reduce to exact integer window checks over x in [0, m], including the
-vertex-capacity constraint on where the residual edges can live.
+vertex-capacity constraint on where the residual edges can live.  The loops
+keep each x's exact values; an AbsenceProof renders them as its failures
+only when they are first read.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .combinatorics import PairQuery, binomial, binomial_decompose
 
@@ -59,11 +62,33 @@ class RealizabilityWitness:
 
 @dataclass(frozen=True)
 class AbsenceProof:
-    """Per-x refutation: for every clique order some constraint fails."""
+    """Per-x refutation: for every clique order some constraint fails.
+
+    steps holds each x's exact residual h and capacity C(m - x, r), which is
+    None unless 0 <= h <= limit and always None for the complement-type shape;
+    failures renders them as CheckedInequality entries on first read."""
 
     kind: str
     pair: PairQuery
-    failures: tuple[CheckedInequality, ...]
+    limit: int
+    steps: tuple[tuple[int, int | None], ...]
+
+    @cached_property
+    def failures(self) -> tuple[CheckedInequality, ...]:
+        r, m, limit = self.pair.r, self.pair.m, self.limit
+        plus = self.kind == KIND_CLIQUE_PLUS
+        out = []
+        for x, (h, room) in enumerate(self.steps):
+            if h < 0:
+                what = f"residual f - C(x,{r})" if plus else f"removed count C(x,{r}) - f"
+                out.append(CheckedInequality(f"x={x}: {what}", h, ">=", 0, expected=False))
+            elif h > limit:
+                what = "residual edge budget" if plus else "removal budget"
+                out.append(CheckedInequality(f"x={x}: {what}", h, "<=", limit, expected=False))
+            else:
+                what = f"residual capacity on {m - x} vertices"
+                out.append(CheckedInequality(f"x={x}: {what}", h, "<=", room, expected=False))
+        return tuple(out)
 
 
 class BelowThresholdError(ValueError):
@@ -89,31 +114,16 @@ def clique_plus_witness(
     pair = PairQuery(r, m, f)
     limit = m - 1 if strict else m
     witness_x = None
-    failures: list[CheckedInequality] = []
+    steps = []
     for x in range(m + 1):
         h = f - binomial(x, r)
-        if h < 0:
-            failures.append(
-                CheckedInequality(f"x={x}: residual f - C(x,{r})", h, ">=", 0, expected=False)
-            )
-            continue
-        if h > limit:
-            failures.append(
-                CheckedInequality(f"x={x}: residual edge budget", h, "<=", limit, expected=False)
-            )
-            continue
-        room = binomial(m - x, r)
-        if h > room:
-            failures.append(
-                CheckedInequality(
-                    f"x={x}: residual capacity on {m - x} vertices", h, "<=", room, expected=False
-                )
-            )
-            continue
-        witness_x = x
+        room = binomial(m - x, r) if 0 <= h <= limit else None
+        if room is not None and h <= room:
+            witness_x = x
+        steps.append((h, room))
     if witness_x is not None:
         return RealizabilityWitness(KIND_CLIQUE_PLUS, witness_x, f - binomial(witness_x, r))
-    return AbsenceProof(KIND_CLIQUE_PLUS, pair, tuple(failures))
+    return AbsenceProof(KIND_CLIQUE_PLUS, pair, limit, tuple(steps))
 
 
 def clique_minus_witness(
@@ -124,23 +134,15 @@ def clique_minus_witness(
     pair = PairQuery(r, m, f)
     limit = m - 1 if strict else m
     witness_x = None
-    failures: list[CheckedInequality] = []
+    steps = []
     for x in range(m + 1):
         h = binomial(x, r) - f
-        if h < 0:
-            failures.append(
-                CheckedInequality(f"x={x}: removed count C(x,{r}) - f", h, ">=", 0, expected=False)
-            )
-            continue
-        if h > limit:
-            failures.append(
-                CheckedInequality(f"x={x}: removal budget", h, "<=", limit, expected=False)
-            )
-            continue
-        witness_x = x
+        if 0 <= h <= limit:
+            witness_x = x
+        steps.append((h, None))
     if witness_x is not None:
         return RealizabilityWitness(KIND_COMPLEMENT, witness_x, binomial(witness_x, r) - f)
-    return AbsenceProof(KIND_COMPLEMENT, pair, tuple(failures))
+    return AbsenceProof(KIND_COMPLEMENT, pair, limit, tuple(steps))
 
 
 def clique_surplus_gap(m: int, f: int, r: int) -> int | None:

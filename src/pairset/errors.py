@@ -22,7 +22,9 @@ def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False)
     b >= EXACT_BITS and 2^b > allowed; else the caller charges the exact cost."""
     bits = work if log2 else work.bit_length() - 1  # the cost is at least 2^bits
     if bits >= max(EXACT_BITS, allowed.bit_length()):  # then 2^bits > allowed
-        raise BudgetExceededError(f"{what} needs at least 2^{bits} units of work, "
+        k = bits.bit_length() - 1  # an exponent of EXACT_BITS bits or more is stated as 2^k
+        stated = f"2^{bits}" if k < EXACT_BITS - 1 else f"2^(2^{k})"
+        raise BudgetExceededError(f"{what} needs at least {stated} units of work, "
                                   f"above the budget of {allowed}")
     if not log2 and work > allowed:
         raise BudgetExceededError(f"{what} needs {work} units of work, above the budget of {allowed}")

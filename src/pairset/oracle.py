@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, iterated_blowup
-from .errors import charge
+from .errors import EXACT_BITS, charge
 from .hypergraph import Hypergraph, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
@@ -59,7 +59,8 @@ def _check_query(n: int, r: int, m: int, f: int) -> None:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
     if not 0 <= m <= n:
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
-    if not 0 <= f <= binomial(m, r):
+    # C(m, r) >= 2^min(r, m - r) for r <= m, so a smaller f needs no C(m, r)
+    if f < 0 or (f.bit_length() > min(r, m - r) and f > binomial(m, r)):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
 
 
@@ -151,9 +152,13 @@ def non_arrowing_sizes(
 ) -> set[int]:
     """All edge counts e for which (n, e) fails to arrow (m, f)."""
     _check_query(n, r, m, f)
-    slots = binomial(n, r)
     allowed = resolve_budget(budget)
     what = "sweeping all sizes (raise the budget with --budget)"
+    # the sweep costs at least 2^(C(n, r) + min(m, n - m)), and C(n, r) >= 2^min(r, n - r):
+    # from min(r, n - r) = EXACT_BITS on, refuse on that bound before computing C(n, r)
+    if min(r, n - r) >= EXACT_BITS:
+        charge((1 << min(r, n - r)) + min(m, n - m), what, allowed, log2=True)
+    slots = binomial(n, r)
     charge(slots + min(m, n - m), what, allowed, log2=True)  # C(n, m) >= 2^min(m, n - m)
     charge((2**slots) * binomial(n, m), what, allowed)
     tables = _tables(n, r, m)  # built once for all sizes, freed on return

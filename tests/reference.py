@@ -3,7 +3,13 @@ against: plain loops over the definitions, kept in this one module."""
 
 from itertools import combinations
 
-from pairset.combinatorics import partite_sizes
+from pairset.avoidability import (
+    KIND_CLIQUE_PLUS,
+    KIND_COMPLEMENT,
+    CheckedInequality,
+    RealizabilityWitness,
+)
+from pairset.combinatorics import binomial, partite_sizes
 from pairset.hypergraph import hypergraph
 
 
@@ -47,3 +53,57 @@ def reference_turan_edges(n, l, r):
     for i, s in enumerate(partite_sizes(n, l)):
         part_of.extend([i] * s)
     return {t for t in combinations(range(n), r) if len({part_of[v] for v in t}) == r}
+
+
+def reference_witness(kind, m, f, r, strict):
+    """The witness (largest valid clique order), or the tuple of every x's
+    failing CheckedInequality, for kind KIND_CLIQUE_PLUS or KIND_COMPLEMENT.
+
+    The eager per-x loops, which build every failure as they meet it: the
+    reference for clique_plus_witness and clique_minus_witness, whose
+    refutations keep raw values and render the failures on first read.
+    """
+    limit = m - 1 if strict else m
+    witness_x = None
+    failures = []
+    if kind == KIND_CLIQUE_PLUS:
+        for x in range(m + 1):
+            h = f - binomial(x, r)
+            if h < 0:
+                failures.append(
+                    CheckedInequality(f"x={x}: residual f - C(x,{r})", h, ">=", 0, expected=False)
+                )
+                continue
+            if h > limit:
+                failures.append(
+                    CheckedInequality(f"x={x}: residual edge budget", h, "<=", limit, expected=False)
+                )
+                continue
+            room = binomial(m - x, r)
+            if h > room:
+                failures.append(
+                    CheckedInequality(
+                        f"x={x}: residual capacity on {m - x} vertices", h, "<=", room, expected=False
+                    )
+                )
+                continue
+            witness_x = x
+        if witness_x is not None:
+            return RealizabilityWitness(KIND_CLIQUE_PLUS, witness_x, f - binomial(witness_x, r))
+        return tuple(failures)
+    for x in range(m + 1):
+        h = binomial(x, r) - f
+        if h < 0:
+            failures.append(
+                CheckedInequality(f"x={x}: removed count C(x,{r}) - f", h, ">=", 0, expected=False)
+            )
+            continue
+        if h > limit:
+            failures.append(
+                CheckedInequality(f"x={x}: removal budget", h, "<=", limit, expected=False)
+            )
+            continue
+        witness_x = x
+    if witness_x is not None:
+        return RealizabilityWitness(KIND_COMPLEMENT, witness_x, binomial(witness_x, r) - f)
+    return tuple(failures)

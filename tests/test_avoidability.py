@@ -1,9 +1,14 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairset.avoidability import (
+    KIND_CLIQUE_PLUS,
+    KIND_COMPLEMENT,
     AbsenceProof,
+    CheckedInequality,
     BelowThresholdError,
     RealizabilityWitness,
     absolutely_avoidable,
@@ -16,7 +21,9 @@ from pairset.avoidability import (
     positive_density_candidates,
 )
 from pairset.combinatorics import binomial
+from pairset.density import density_upper_bound
 from pairset.hypergraph import complete, disjoint_union, hypergraph
+from reference import reference_witness
 
 
 def test_clique_plus_witness_examples():
@@ -50,6 +57,52 @@ def test_clique_minus_witness_examples():
     full = clique_minus_witness(7, binomial(7, 3), 3)
     assert isinstance(full, RealizabilityWitness)
     assert (full.x, full.h) == (7, 0)
+
+
+def _as_tuples(failures):
+    return [(c.label, c.lhs, c.op, c.rhs, c.expected) for c in failures]
+
+
+@st.composite
+def witness_queries(draw):
+    r = draw(st.integers(min_value=3, max_value=5))
+    m = draw(st.integers(min_value=r, max_value=25))
+    f = draw(st.integers(min_value=0, max_value=binomial(m, r)))
+    return m, f, r, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_queries())
+@example((12, 110, 3, False))  # theorem-main's pair
+@example((6, 13, 3, False))  # refuted by the capacity check alone
+def test_witnesses_match_eager_reference(query):
+    m, f, r, strict = query
+    for kind, witness in ((KIND_CLIQUE_PLUS, clique_plus_witness), (KIND_COMPLEMENT, clique_minus_witness)):
+        expected = reference_witness(kind, m, f, r, strict)
+        got = witness(m, f, r, strict=strict)
+        if isinstance(expected, RealizabilityWitness):
+            assert got == expected
+        else:
+            assert isinstance(got, AbsenceProof) and got.kind == kind
+            assert _as_tuples(got.failures) == _as_tuples(expected)
+
+
+def test_unread_refutations_build_no_inequalities(monkeypatch):
+    built = []
+    init = CheckedInequality.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckedInequality, "__init__", counting_init)
+    positive_density_candidates(20, 3)
+    density_upper_bound(20, 570, 3)
+    assert built == []
+    proof = clique_plus_witness(12, 110, 3)
+    assert isinstance(proof, AbsenceProof) and built == []
+    assert len(proof.failures) == 13 and len(built) == 13
+    assert proof.failures is proof.failures and len(built) == 13  # rendered once
 
 
 def test_gap_examples():

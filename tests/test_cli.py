@@ -126,7 +126,9 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # edges times C(42, 3) m-sets each is what refuses.  The rest cost more
     # than 4,300 digits, or take longer to compute than to refuse (2^C(n, 3)
     # for n = 100000; C(C(2000, 3), 3 million); C(10^6, 5 * 10^5), seconds of
-    # math.comb), and are stated as powers of two
+    # math.comb), and are stated as powers of two.  The last two would need
+    # C(300000, 150000) for the size check and the sweep's cost; the sweep's
+    # exponent is stated as 2^(2^k), as its decimal digits are too many to print
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
     huge = tmp_path / "huge.hg"
@@ -142,6 +144,8 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("spectrum", "--in", str(huge), "--m", "500000"),
         ("construct", "sparse", "--n", "1000000", "--r", "500000", "--m", "500001"),
         ("oracle", "arrows", "--n", "300000", "--e", "1", "--r", "150000", "--m", "4", "--f", "0"),
+        ("oracle", "arrows", "--n", "300000", "--e", "1", "--r", "150000", "--m", "300000", "--f", "0"),
+        ("oracle", "sizes", "--n", "300000", "--r", "150000", "--m", "300000", "--f", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, turan_count
 from pairset.constructions import BASE_SINGLE_EDGE, iterated_blowup
-from pairset.errors import BudgetExceededError
+from pairset.errors import BudgetExceededError, charge
 from pairset.hypergraph import complete, graph_arrows, hypergraph, induced, spectrum
 from pairset.oracle import (
     non_arrowing_sizes,
@@ -89,6 +89,20 @@ def test_budget_refusal_and_default():
         pair_arrows(9, 10, 3, 6, 4, budget=100)
     assert resolve_budget() == 100_000_000
     assert resolve_budget(7) == 7
+
+
+def test_refusals_state_long_exponents_as_powers_of_two():
+    # an exponent of 1024 bits or more is stated as 2^(2^k), k its
+    # bit_length() - 1; a shorter one in full, as before
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^\(2\^1023\) units"):
+        charge(2**1023, "x", log2=True)
+    with pytest.raises(BudgetExceededError, match=rf"at least 2\^{2**1023 - 1} units"):
+        charge(2**1023 - 1, "x", log2=True)
+    # C(300000, 150000) has about 90,000 decimal digits and is not computed
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^\(2\^150000\) units"):
+        non_arrowing_sizes(300000, 150000, 300000, 0)
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^184760 units"):
+        non_arrowing_sizes(20, 10, 4, 0)  # C(20, 10) + min(4, 16)
 
 
 def test_budget_boundary():
