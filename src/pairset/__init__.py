@@ -54,6 +54,7 @@ from .hypergraph import (
     graph_arrows,
     induced,
     is_sparse,
+    overfull_subsets,
     parse,
     serialize,
     spectrum,

@@ -19,7 +19,7 @@ from .combinatorics import (
     turan_count,
 )
 from .errors import charge, charge_binomial
-from .hypergraph import Hypergraph, complement, complete, disjoint_union, is_sparse
+from .hypergraph import Hypergraph, complement, complete, disjoint_union, is_sparse, overfull_subsets
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
 BASE_TIGHT_CYCLE = "tight-5-cycle"
@@ -102,6 +102,15 @@ def random_sparse(
     pass visited the set and left it at most m edges, and edges are only
     ever removed.  The colex order fixes which edges go, so the result is
     fully determined by the seed.
+
+    Because edges are only removed, a visit changes something only in an
+    m-set that is over-full (holds more than m edges) in the sample, and
+    only at its first visit, which leaves it at most m edges for good.  So
+    the pass takes the over-full sets from overfull_subsets, indexes each
+    under the sampled edges it holds, and visits each once, at the first
+    anchor turn through it.  For one anchor, lexicographic order on the
+    m-sets is the order of their extensions, so the visits and deletions
+    are those of the pass over every m-set through every anchor.
     """
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
@@ -117,20 +126,33 @@ def random_sparse(
     g = Hypergraph(r, n, frozenset(sample))
     repairs = 0
     if not is_sparse(g, m):
-        # the pass looks up the C(m, r) r-sets of C(n - r, m - r) m-sets per edge;
-        # C(n - r, m - r) <= C(n, m) and C(m, r) <= C(n, r), both charged above and
-        # so at most WORK_CAP, hence this exact charge needs no lower bound first
+        # an upper bound: the pass looks up the C(m, r) r-sets of each over-full
+        # m-set twice, and as each holds at least m + 1 >= 3 sampled edges, each in
+        # C(n - r, m - r) m-sets, there are at most len(sample) * C(n - r, m - r) / 3
+        # of them.  C(n - r, m - r) <= C(n, m) and C(m, r) <= C(n, r), both charged
+        # above and so at most WORK_CAP, hence this exact charge needs no lower
+        # bound first
         charge(len(sample) * binomial(n - r, m - r) * binomial(m, r),
                f"repair pass over {len(sample)} x C({n - r},{m - r}) m-sets x C({m},{r}) r-set lookups")
         edges = set(sample)
+        # the over-full sets, and under each sampled edge the positions of the
+        # sets through it; visits are marked in a bytearray, since a set of the
+        # tuples raised the construct benchmark's peak RSS by about 0.4 MB
+        over = list(overfull_subsets(g, m))
+        through: dict[tuple[int, ...], list[int]] = {}
+        for k, s in enumerate(over):
+            for t in combinations(s, r):
+                if t in edges:
+                    through.setdefault(t, []).append(k)
+        visited = bytearray(len(over))
         for anchor in sample:
             if anchor not in edges:
                 continue
-            inside_anchor = set(anchor)
-            others = [v for v in range(n) if v not in inside_anchor]
-            for ext in combinations(others, m - r):
-                s = tuple(sorted(anchor + ext))
-                inside = [t for t in combinations(s, r) if t in edges]
+            for k in through.get(anchor, ()):
+                if visited[k]:
+                    continue
+                visited[k] = 1
+                inside = [t for t in combinations(over[k], r) if t in edges]
                 while len(inside) > m:
                     victim = min(inside, key=colex_key)
                     edges.remove(victim)

@@ -1,12 +1,13 @@
 """Uniform hypergraph values plus induced-subgraph queries and file I/O.
 
-Every induced-count query (spectrum, is_sparse and graph_arrows) runs on
-one private kernel, _scan, which no other module calls: a depth-first
-search over the m-subsets that carries the counts of each prefix forward,
-so the last vertex of an m-subset costs one list read instead of C(m, r)
-r-set lookups.  The kernel charges its own C(n, m) subsets, and complete
-and complement their C(n, r) r-sets, to errors.charge_binomial before they
-start, so every enumeration here is exhaustive or refuses.
+Every induced-count query (spectrum, is_sparse, overfull_subsets and
+graph_arrows) runs on one private kernel, _scan, which no other module
+calls: a depth-first search over the m-subsets that carries the counts of
+each prefix forward, so the last vertex of an m-subset costs one list read
+instead of C(m, r) r-set lookups.  The kernel charges its own C(n, m)
+subsets, and complete and complement their C(n, r) r-sets, to
+errors.charge_binomial before they start, so every enumeration here is
+exhaustive or refuses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .combinatorics import binomial
 from .errors import charge_binomial
@@ -117,16 +118,17 @@ class Spectrum:
 
 def _scan(
     edges: Collection[tuple[int, ...]], n: int, r: int, m: int, limit: int | None = None
-) -> dict[int, int] | tuple[int, ...] | None:
+) -> Iterator[dict[int, int] | tuple[int, ...]]:
     """Induced edge counts of the m-subsets of range(n), for r >= 2, m >= 0.
 
-    Without a limit, the histogram {count: number of m-subsets}, keys in
-    increasing order.  With a limit, the lexicographically first m-subset
-    inducing more than limit edges, or None when there is none; a prefix
-    that already induces more than limit edges ends the scan at once.
-    The C(n, m) subsets are charged first, to errors.charge_binomial.  Unless
-    r <= m <= n no m-subset holds an edge: the histogram is then
-    {0: C(n, m)}, and there is no violation.
+    Without a limit, yields one value: the histogram {count: number of
+    m-subsets}, keys in increasing order.  With a limit, yields lazily, in
+    lexicographic order, every m-subset inducing more than limit edges; a
+    prefix that already induces more than limit edges yields all of its
+    extensions at once, with no descent below it.  The C(n, m) subsets are
+    charged when the first value is asked for, to errors.charge_binomial.
+    Unless r <= m <= n no m-subset holds an edge: the histogram is then
+    {0: C(n, m)}, and nothing is over a limit.
 
     A depth-first search over sorted prefixes P, in lexicographic order.
     Level j of P holds, for each j-set T above max(P), the number of
@@ -141,7 +143,9 @@ def _scan(
     """
     subsets = charge_binomial(n, m, f"induced-count scan over C({n},{m}) subsets")
     if not r <= m <= n:
-        return {0: subsets} if limit is None else None
+        if limit is None:
+            yield {0: subsets}
+        return
     top = max(1, r - 2)
     link: dict[tuple[int, ...], int] = {}
     for e in edges:
@@ -179,7 +183,10 @@ def _scan(
         for y in range(start, stop):
             c2 = c + level1[y]
             if limit is not None and c2 > limit:
-                return (*(f[0] for f in frames[1:]), *range(y, y + m - d))
+                prefix = (*(f[0] for f in frames[1:]), y)
+                for rest in combinations(range(y + 1, n), m - d - 1):
+                    yield prefix + rest
+                continue
             mask2 = mask | 1 << y
             tables2 = []
             for j in levels:
@@ -198,32 +205,40 @@ def _scan(
                     for a in row:
                         hist[c2 + a] += 1
                 elif c2 + max(row) > limit:
-                    t = next(t for t, a in enumerate(row) if c2 + a > limit)
-                    return (*(f[0] for f in frames[1:]), y, y + 1 + t)
+                    prefix = (*(f[0] for f in frames[1:]), y)
+                    for z, a in enumerate(row, y + 1):
+                        if c2 + a > limit:
+                            yield (*prefix, z)
                 continue
             frames[-1][4] = y + 1
             frames.append([y, c2, mask2, tables2, y + 1])
             break
         else:
             frames.pop()
-    if limit is not None:
-        return None
-    return {k: v for k, v in enumerate(hist) if v}
+    if limit is None:
+        yield {k: v for k, v in enumerate(hist) if v}
 
 
 def spectrum(g: Hypergraph, m: int) -> Spectrum:
     """Exact induced-size histogram over all C(n, m) subsets of size m."""
     if not 0 <= m <= g.n:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
-    return Spectrum(m, _scan(g.edges, g.n, g.r, m))
+    return Spectrum(m, next(_scan(g.edges, g.n, g.r, m)))
+
+
+def overfull_subsets(g: Hypergraph, m: int) -> Iterator[tuple[int, ...]]:
+    """Every m-vertex subset inducing more than m edges, in lexicographic
+    order and generated lazily; the kernel charges the C(n, m) subsets it
+    scans when the first one is asked for."""
+    if m < 0:
+        raise ValueError(f"subset order must be >= 0, got {m}")
+    return _scan(g.edges, g.n, g.r, m, m)
 
 
 def is_sparse(g: Hypergraph, m: int) -> bool:
-    """True iff every m-vertex subset induces at most m edges; the kernel
-    charges the C(n, m) subsets it scans."""
-    if m < 0:
-        raise ValueError(f"subset order must be >= 0, got {m}")
-    return _scan(g.edges, g.n, g.r, m, m) is None
+    """True iff every m-vertex subset induces at most m edges, read from the
+    first of overfull_subsets; the scan stops there."""
+    return next(overfull_subsets(g, m), None) is None
 
 
 def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
@@ -232,14 +247,13 @@ def graph_arrows(g: Hypergraph, m: int, f: int) -> bool:
         raise ValueError(f"subset order must lie in [0, {g.n}], got {m}")
     if not 0 <= f <= binomial(m, g.r):
         raise ValueError(f"size must lie in [0, C({m},{g.r})], got {f}")
-    return f in _scan(g.edges, g.n, g.r, m)
+    return f in next(_scan(g.edges, g.n, g.r, m))
 
 
 def serialize(g: Hypergraph) -> str:
     """Canonical text form: header line 'r n', then one edge per line."""
-    lines = [f"{g.r} {g.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    line = " ".join(["%d"] * g.r) + "\n"
+    return f"{g.r} {g.n}\n" + "".join(map(line.__mod__, sorted(g.edges)))
 
 
 def parse(text: str) -> Hypergraph:

@@ -9,7 +9,7 @@ from pairset.avoidability import (
     CheckedInequality,
     RealizabilityWitness,
 )
-from pairset.combinatorics import binomial, partite_sizes
+from pairset.combinatorics import binomial, colex_key, partite_sizes
 from pairset.hypergraph import hypergraph
 
 
@@ -21,6 +21,41 @@ def reference_counts(g, m):
     sparsity check is tested against.
     """
     return [sum(t in g.edges for t in combinations(s, g.r)) for s in combinations(range(g.n), m)]
+
+
+def reference_repair(sample, n, r, m):
+    """(edges, repairs) after one repair pass over a colex-ordered sample.
+
+    For each sampled edge still present at its turn (the anchor), every
+    m-set through it, in the lexicographic order of the m - r vertices that
+    extend the anchor, loses its lowest-colex edge until it holds at most m:
+    C(n - r, m - r) m-sets per anchor and C(m, r) lookups in each.  The
+    reference for random_sparse, which visits only the over-full m-sets.
+    """
+    edges = set(sample)
+    repairs = 0
+    for anchor in sample:
+        if anchor not in edges:
+            continue
+        inside_anchor = set(anchor)
+        others = [v for v in range(n) if v not in inside_anchor]
+        for ext in combinations(others, m - r):
+            s = tuple(sorted(anchor + ext))
+            inside = [t for t in combinations(s, r) if t in edges]
+            while len(inside) > m:
+                victim = min(inside, key=colex_key)
+                edges.remove(victim)
+                inside.remove(victim)
+                repairs += 1
+    return edges, repairs
+
+
+def reference_serialize(g):
+    """The text form of g built line by line with str: the reference for
+    serialize, which formats each edge with one format string per r."""
+    lines = [f"{g.r} {g.n}"]
+    lines.extend(" ".join(str(v) for v in e) for e in sorted(g.edges))
+    return "\n".join(lines) + "\n"
 
 
 def colex(n, k):

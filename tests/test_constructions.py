@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 import time
 from fractions import Fraction
 from functools import cache
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairset.avoidability import absolutely_avoidable
-from pairset.combinatorics import binomial, colex_key, turan_count
+from pairset.combinatorics import binomial, colex_key, subsets_colex, turan_count
 from pairset.constructions import (
     BASE_SINGLE_EDGE,
     BASE_TIGHT_CYCLE,
@@ -31,7 +33,8 @@ from pairset.hypergraph import (
     serialize,
     spectrum,
 )
-from reference import reference_counts, reference_turan_edges
+import reference
+from reference import reference_counts, reference_repair, reference_turan_edges
 
 
 def test_turan_graph_matches_reference():
@@ -164,6 +167,27 @@ def test_random_sparse_output_is_sparse(args):
     m = args[2]
     assert max(reference_counts(g, m)) <= m
     assert log.final_edges == g.edge_count == log.sampled_edges - log.repairs
+
+
+def _sample(n, r, seed, p):
+    """random_sparse's sample: each r-set, in colex order, kept with probability p."""
+    rng = random.Random(seed)
+    return [t for t in subsets_colex(n, r) if rng.random() < p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_sparse_args())
+@example((16, 3, 6, 853, Fraction(4)))  # the benchmark's dense construct slot
+def test_random_sparse_matches_reference_repair(args):
+    # visiting only the over-full m-sets, each once, deletes exactly what the
+    # pass over every m-set through every surviving anchor deletes
+    n, r, m, seed, _ = args
+    g, log = random_sparse(*args)
+    sample = _sample(n, r, seed, log.probability)
+    edges, repairs = reference_repair(sample, n, r, m)
+    assert g == Hypergraph(r, n, frozenset(edges))
+    target = round(log.probability * binomial(n, r))
+    assert log == SparseGenLog(log.probability, target, len(sample), repairs, len(edges))
 
 
 def test_random_sparse_validation():
@@ -362,6 +386,30 @@ def test_random_sparse_outputs_pinned():
             assert (_digest(g), log) == (digest, SparseGenLog(p, target, sampled, repaired, final))
             repairs.append(repaired)
     assert 0 in repairs and max(repairs) > 100
+
+
+def test_repair_pass_looks_up_a_quarter_of_the_reference(monkeypatch):
+    # the work of the repair pass, counted as the r-sets of an m-set that it
+    # looks up; the reference runs only on the samples is_sparse refuses,
+    # which are exactly those with repairs, as the pass does
+    looked_up = {}
+
+    def counting(key):
+        def combinations(items, k):
+            items = tuple(items)
+            if len(items) == 6:  # an m-set, not the vertices extending an anchor
+                looked_up[key] = looked_up.get(key, 0) + binomial(6, k)
+            return itertools.combinations(items, k)
+        return combinations
+
+    monkeypatch.setattr("pairset.constructions.combinations", counting("pass"))
+    monkeypatch.setattr(reference, "combinations", counting("reference"))
+    for (n, r, constant, p), runs in PINNED_SPARSE:
+        for seed, (*_, repaired, _final) in enumerate(runs):
+            random_sparse(n, r, 6, seed, Fraction(constant))
+            if repaired:
+                reference_repair(_sample(n, r, seed, p), n, r, 6)
+    assert 0 < 4 * looked_up["pass"] <= looked_up["reference"]
 
 
 def test_realize_outputs_pinned():

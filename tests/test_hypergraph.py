@@ -21,11 +21,12 @@ from pairset.hypergraph import (
     hypergraph,
     induced,
     is_sparse,
+    overfull_subsets,
     parse,
     serialize,
     spectrum,
 )
-from reference import reference_counts
+from reference import reference_counts, reference_serialize
 
 
 @st.composite
@@ -170,19 +171,20 @@ def scan_cases(draw):
 @example((complete(9, 5), 9))
 @example((complete(8, 4), 3))
 @example((hypergraph(2, 9, [(0, 8), (3, 4)]), 9))
+# prefixes that already exceed small limits, whose extensions are listed
+# without descending: the first five vertices, and the pair {0, 1}
+@example((complete(9, 5), 7))
+@example((hypergraph(2, 9, [(0, 1), (0, 8), (3, 4), (5, 6)]), 6))
 def test_scan_kernel_matches_reference(case):
     g, m = case
     counts = reference_counts(g, m)
     assert spectrum(g, m).counts == Counter(counts)
     for f in range(binomial(m, g.r) + 1):
         assert graph_arrows(g, m, f) == (f in counts)
-        found = _scan(g.edges, g.n, g.r, m, f)
-        if max(counts) <= f:
-            assert found is None
-        else:
-            assert found is not None
-            assert len(found) == m and list(found) == sorted(set(found)) and set(found) <= set(range(g.n))
-            assert sum(t in g.edges for t in combinations(found, g.r)) > f
+        over = [s for s, c in zip(combinations(range(g.n), m), counts) if c > f]
+        assert list(_scan(g.edges, g.n, g.r, m, f)) == over
+    assert list(overfull_subsets(g, m)) == [s for s, c in zip(combinations(range(g.n), m), counts) if c > m]
+    assert is_sparse(g, m) == (max(counts) <= m)
 
 
 def test_is_sparse_examples():
@@ -209,6 +211,15 @@ def test_serialize_round_trip():
 @given(small_graphs())
 def test_round_trip_property(g):
     assert parse(serialize(g)) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+@example((hypergraph(2, 0, []), 0))
+@example((hypergraph(5, 7, []), 0))
+def test_serialize_matches_reference(case):
+    g, _ = case
+    assert serialize(g) == reference_serialize(g)
 
 
 @pytest.mark.parametrize(
