@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .combinatorics import PairQuery, binomial, binomial_decompose
+from .errors import charge
 
 KIND_CLIQUE_PLUS = "clique-plus-bounded"
 KIND_COMPLEMENT = "complement-type"
@@ -211,6 +212,8 @@ def absolutely_avoidable(
     refutations and, where available, the gap clique orders.
     """
     pair = PairQuery(r, m, f)
+    # two witness loops and two gap searches of at most m + 1 steps each
+    charge(4 * (m + 1), f"certifying ({m},{f}) over {m + 1} clique orders")
     fbar = pair.max_size - f
     wa = clique_plus_witness(m, f, r, strict=strict)
     wb = clique_plus_witness(m, fbar, r, strict=strict)
@@ -258,6 +261,8 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
         raise ValueError(f"uniformity must be >= 3, got {r}")
     if m < r:
         raise ValueError(f"order must be >= uniformity, got m={m} < r={r}")
+    # binomial_decompose(f0, r) stops below x = m, at most m steps
+    charge(m, f"the clique order below half of C({m},{r})")
     total = binomial(m, r)
     f0 = total // 2
     c0 = total - f0  # ceil(total / 2)
@@ -333,6 +338,8 @@ def positive_density_candidates(m: int, r: int, *, strict: bool = False) -> set[
     if m <= r:
         raise ValueError(f"order must exceed uniformity, got m={m}, r={r}")
     total = binomial(m, r)
+    # at most four witness loops of m + 1 steps for each of the sizes
+    charge(4 * (m + 1) * total, f"candidate sweep over C({m},{r}) sizes at order {m}")
     return {
         f
         for f in range(1, total)

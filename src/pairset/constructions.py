@@ -18,7 +18,7 @@ from .combinatorics import (
     subsets_colex,
     turan_count,
 )
-from .errors import charge, charge_binomial
+from .errors import binomial_bits, charge, charge_binomial
 from .hypergraph import Hypergraph, complement, complete, disjoint_union, is_sparse, overfull_subsets
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
@@ -47,7 +47,12 @@ def turan_graph(n: int, l: int, r: int) -> Hypergraph:
     of r parts; the parts are consecutive ranges, so each tuple is increasing."""
     if l < 1:
         raise ValueError(f"part count must be >= 1, got {l}")
-    charge(turan_count(n, l, r), f"turan_graph({n}, {l}, {r}) edges")
+    what = f"turan_graph({n}, {l}, {r}) edges"
+    # at least C(p, r) * (n // p)^r edges over the p nonempty parts, each of at
+    # least n // p vertices, charged first: turan_count loops over all l parts
+    p = max(1, min(l, n))
+    charge(binomial_bits(p, r) + r * binomial_bits(n // p, 1), what, log2=True)
+    charge(turan_count(n, l, r), what)
     ends = list(accumulate(partite_sizes(n, l), initial=0))
     parts = [range(a, b) for a, b in pairwise(ends) if b > a]
     edges = (t for chosen in combinations(parts, r) for t in product(*chosen))
@@ -181,8 +186,8 @@ def realize_clique_plus_sparse(
         raise ValueError(f"need m >= r >= 2, got m={m}, r={r}")
     if e < 0:
         raise ValueError(f"edge count must be >= 0, got {e}")
-    # while 2e < 2^min(r, n - r) <= C(n, r), C(n, r) need not be computed
-    if (2 * e).bit_length() > min(r, n - r) and 2 * e > binomial(n, r):
+    # while 2e < 2^binomial_bits(n, r) <= C(n, r), C(n, r) need not be computed
+    if (2 * e).bit_length() > binomial_bits(n, r) and 2 * e > binomial(n, r):
         raise ValueError(
             f"e={e} exceeds the density cap 1/2 * C({n},{r}) = "
             f"{Fraction(binomial(n, r), 2)}; realize the complement instead"
@@ -229,7 +234,7 @@ def realize_complement_sparse(
     complementary size C(n, r) - e.
     """
     below_half = f"e={e} is below (1 - 1/2) * C({n},{r}); realize the pair directly instead"
-    if 0 <= e and (2 * e).bit_length() <= min(r, n - r):  # 2e < 2^min(r, n - r) <= C(n, r)
+    if 0 <= e and e.bit_length() < binomial_bits(n, r):  # 2e < 2^binomial_bits(n, r) <= C(n, r)
         raise ValueError(below_half)
     total = binomial(n, r)
     if not 0 <= e <= total:

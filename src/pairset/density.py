@@ -21,6 +21,7 @@ from .combinatorics import (
     turan_count,
     turan_ratio,
 )
+from .errors import charge
 
 CASE_ZERO = "zero-certificate"
 CASE_ONE_SIDED = "one-sided"
@@ -50,6 +51,8 @@ def density_upper_bound(m: int, f: int, r: int) -> DensityBound:
     if r < 3 or m <= r:
         raise ValueError(f"density bounds require m > r >= 3, got (m={m}, r={r})")
     pair = PairQuery(r, m, f)
+    # four witness loops of m + 1 steps, and m + 1 - r turan_count loops of l * r <= m * r
+    charge((m + 1) * (4 + m * r), f"density bound for ({m},{f}) over {m + 1} orders and part counts")
     total = pair.max_size
     fbar = total - f
     zero = _missing_realization(m, f, r)

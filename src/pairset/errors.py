@@ -1,5 +1,5 @@
-"""Shared exception types, and the one refusal policy for enumerations:
-charge, and charge_binomial for a cost of one binomial C(n, k)."""
+"""Shared exception types, and the one refusal policy for enumerations: charge,
+binomial_bits to place a count below C(n, k), and charge_binomial for one C(n, k)."""
 
 from .combinatorics import binomial
 
@@ -30,13 +30,18 @@ def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False)
         raise BudgetExceededError(f"{what} needs {work} units of work, above the budget of {allowed}")
 
 
+def binomial_bits(n: int, k: int) -> int:
+    """A b with C(n, k) >= 2^b for 0 <= k <= n, as each of the j = min(k, n - k)
+    factors (n - i) / (j - i) of C(n, j) is at least n / j; 0 when j <= 0, k > n included."""
+    j = min(k, n - k)
+    return j * ((n // j).bit_length() - 1) if j > 0 else 0
+
+
 def charge_binomial(n: int, k: int, what: str) -> int:
-    """Charge C(n, k) units of work against WORK_CAP and return C(n, k).
-    The lower bound C(n, k) >= 2^min(k, n - k) is charged first, so a count
-    of 2^EXACT_BITS or more refuses before the binomial, slow to compute for
-    large k near n/2, is computed."""
-    if 0 <= k <= n:
-        charge(min(k, n - k), what, log2=True)
+    """Charge C(n, k) units of work against WORK_CAP and return C(n, k).  Its lower
+    bound 2^binomial_bits(n, k) is charged first, so a count of 2^EXACT_BITS or more
+    refuses before C(n, k), slow to compute for large k near n/2, is computed."""
+    charge(binomial_bits(n, k), what, log2=True)
     work = binomial(n, k)
     charge(work, what)
     return work

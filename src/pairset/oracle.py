@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, iterated_blowup
-from .errors import EXACT_BITS, charge
+from .errors import EXACT_BITS, binomial_bits, charge
 from .hypergraph import Hypergraph, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
@@ -59,8 +59,7 @@ def _check_query(n: int, r: int, m: int, f: int) -> None:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
     if not 0 <= m <= n:
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
-    # C(m, r) >= 2^min(r, m - r) for r <= m, so a smaller f needs no C(m, r)
-    if f < 0 or (f.bit_length() > min(r, m - r) and f > binomial(m, r)):
+    if f < 0 or (f.bit_length() > binomial_bits(m, r) and f > binomial(m, r)):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
 
 
@@ -90,12 +89,12 @@ def pair_arrows(
     _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
     what = "pair_arrows (raise the budget with --budget)"
-    if 0 < e and e.bit_length() <= min(r, n - r):  # e < C(n, r), so C(C(n, r), e) >= C(n, r)
-        charge(min(r, n - r) + min(m, n - m), what, allowed, log2=True)  # C(n, r) >= 2^min(r, n - r)
+    if 0 < e and e.bit_length() <= binomial_bits(n, r):  # e < C(n, r), so C(C(n, r), e) >= C(n, r)
+        charge(binomial_bits(n, r) + binomial_bits(n, m), what, allowed, log2=True)
     slots = binomial(n, r)
     if not 0 <= e <= slots:
         raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {slots}], got {e}")
-    charge(min(e, slots - e) + min(m, n - m), what, allowed, log2=True)  # C(a, b) >= 2^min(b, a - b)
+    charge(binomial_bits(slots, e) + binomial_bits(n, m), what, allowed, log2=True)
     charge(binomial(slots, e) * binomial(n, m), what, allowed)
     query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
@@ -154,12 +153,13 @@ def non_arrowing_sizes(
     _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
     what = "sweeping all sizes (raise the budget with --budget)"
-    # the sweep costs at least 2^(C(n, r) + min(m, n - m)), and C(n, r) >= 2^min(r, n - r):
-    # from min(r, n - r) = EXACT_BITS on, refuse on that bound before computing C(n, r)
-    if min(r, n - r) >= EXACT_BITS:
-        charge((1 << min(r, n - r)) + min(m, n - m), what, allowed, log2=True)
+    # the sweep costs at least 2^C(n, r) * C(n, m), and C(n, r) >= 2^bits; from bits =
+    # EXACT_BITS on, refuse on that bound, capped so 1 << bits stays small, before C(n, r)
+    bits = binomial_bits(n, r)
+    if bits >= EXACT_BITS:
+        charge((1 << min(bits, EXACT_BITS**2)) + binomial_bits(n, m), what, allowed, log2=True)
     slots = binomial(n, r)
-    charge(slots + min(m, n - m), what, allowed, log2=True)  # C(n, m) >= 2^min(m, n - m)
+    charge(slots + binomial_bits(n, m), what, allowed, log2=True)
     charge((2**slots) * binomial(n, m), what, allowed)
     tables = _tables(n, r, m)  # built once for all sizes, freed on return
     return {e for e in range(slots + 1)

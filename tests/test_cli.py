@@ -128,7 +128,13 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # for n = 100000; C(C(2000, 3), 3 million); C(10^6, 5 * 10^5), seconds of
     # math.comb), and are stated as powers of two.  The last two would need
     # C(300000, 150000) for the size check and the sweep's cost; the sweep's
-    # exponent is stated as 2^(2^k), as its decimal digits are too many to print
+    # exponent is stated as 2^(2^k), as its decimal digits are too many to print.
+    # An e = 2^3001 lies below the lower bound 2^binomial_bits(10^1000, 3000) on
+    # C(10^1000, 3000), whose computation takes seconds; turan_graph's edges are
+    # charged on C(l, r) * (n // l)^r before turan_count loops over all l parts;
+    # the certify loops are charged on their steps, m + 1 per clique order; and
+    # oracle sizes states a lower bound with too many bits for 1 << bits capped
+    big, wide = str(10**1000), str(2**3001)
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
     huge = tmp_path / "huge.hg"
@@ -146,6 +152,13 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("oracle", "arrows", "--n", "300000", "--e", "1", "--r", "150000", "--m", "4", "--f", "0"),
         ("oracle", "arrows", "--n", "300000", "--e", "1", "--r", "150000", "--m", "300000", "--f", "0"),
         ("oracle", "sizes", "--n", "300000", "--r", "150000", "--m", "300000", "--f", "0"),
+        ("oracle", "arrows", "--n", big, "--e", wide, "--r", "3000", "--m", "3000", "--f", "0"),
+        ("construct", "turan", "--n", "100000", "--l", "100000", "--r", "3000"),
+        ("construct", "turan", "--n", "200000", "--l", "200000", "--r", "100000"),
+        ("avoid", "--r", "3", "--m", str(10**8), "--f", "5"),
+        ("theorem-main", "--r", "3", "--m", str(10**8)),
+        ("bounds", "--r", "3", "--m", str(10**8), "--f", "5"),
+        ("oracle", "sizes", "--n", str(10**30), "--r", str(5 * 10**29), "--m", "4", "--f", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -220,6 +233,17 @@ def test_realize_wide_rsets_answers_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (1, "")
     assert "is below (1 - 1/2) * C(300000,150000)" in err
+    # 2e < 2^binomial_bits(10^1000, 3000) <= C(10^1000, 3000) also without
+    # computing C(n, r); the sparse part's sampling charge then refuses
+    argv = ("construct", "realize", "--n", str(10**1000), "--e", str(2**3001), "--r", "3000",
+            "--m", "3000", "--out", str(path))
+    for kind, code, message in (("clique-plus-sparse", 2, "budget refusal: sampling C("),
+                                ("complement-sparse", 1, "is below (1 - 1/2) * C(")):
+        started = time.perf_counter()
+        got, out, err = run(capsys, *argv, "--kind", kind)
+        assert time.perf_counter() - started < 1.0
+        assert (got, out) == (code, "")
+        assert message in err
 
 
 def test_usage_errors_exit_one(capsys):

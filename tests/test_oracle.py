@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, turan_count
 from pairset.constructions import BASE_SINGLE_EDGE, iterated_blowup
-from pairset.errors import BudgetExceededError, charge
+from pairset.errors import BudgetExceededError, binomial_bits, charge
 from pairset.hypergraph import complete, graph_arrows, hypergraph, induced, spectrum
 from pairset.oracle import (
     non_arrowing_sizes,
@@ -101,8 +101,21 @@ def test_refusals_state_long_exponents_as_powers_of_two():
     # C(300000, 150000) has about 90,000 decimal digits and is not computed
     with pytest.raises(BudgetExceededError, match=r"at least 2\^\(2\^150000\) units"):
         non_arrowing_sizes(300000, 150000, 300000, 0)
-    with pytest.raises(BudgetExceededError, match=r"at least 2\^184760 units"):
-        non_arrowing_sizes(20, 10, 4, 0)  # C(20, 10) + min(4, 16)
+    # C(20, 10) + binomial_bits(20, 4): C(20, 4) = 4845 >= 2^(4 * (bit_length(5) - 1)) = 2^8
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^184764 units"):
+        non_arrowing_sizes(20, 10, 4, 0)
+    # a lower bound on C(10^30, 5 * 10^29) with too many bits for 1 << bits is
+    # capped, and still refuses
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^\(2\^1048576\) units"):
+        non_arrowing_sizes(10**30, 5 * 10**29, 4, 0)
+
+
+@given(st.integers(0, 400), st.integers(0, 400))
+def test_binomial_bits_is_a_lower_bound(a, b):
+    n, k = max(a, b), min(a, b)
+    assert 2 ** binomial_bits(n, k) <= binomial(n, k)
+    if k < n:
+        assert binomial_bits(k, n) == 0  # C(k, n) = 0
 
 
 def test_budget_boundary():
