@@ -48,10 +48,12 @@ def turan_graph(n: int, l: int, r: int) -> Hypergraph:
     if l < 1:
         raise ValueError(f"part count must be >= 1, got {l}")
     what = f"turan_graph({n}, {l}, {r}) edges"
-    # at least C(p, r) * (n // p)^r edges over the p nonempty parts, each of at
-    # least n // p vertices, charged first: turan_count loops over all l parts
-    p = max(1, min(l, n))
-    charge(binomial_bits(p, r) + r * binomial_bits(n // p, 1), what, log2=True)
+    # the p = min(l, n) nonempty parts, each of at least n // p vertices, hold at
+    # least C(p, r) * (n // p)^r edges, none if p < r; charged first, as
+    # turan_count loops over all l parts (it rejects r < 2 and n < 0 itself)
+    p = min(l, n)
+    if 2 <= r <= p:
+        charge(binomial_bits(p, r) + r * ((n // p).bit_length() - 1), what, log2=True)
     charge(turan_count(n, l, r), what)
     ends = list(accumulate(partite_sizes(n, l), initial=0))
     parts = [range(a, b) for a, b in pairwise(ends) if b > a]

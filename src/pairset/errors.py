@@ -32,7 +32,8 @@ def charge(work: int, what: str, allowed: int = WORK_CAP, *, log2: bool = False)
 
 def binomial_bits(n: int, k: int) -> int:
     """A b with C(n, k) >= 2^b for 0 <= k <= n, as each of the j = min(k, n - k)
-    factors (n - i) / (j - i) of C(n, j) is at least n / j; 0 when j <= 0, k > n included."""
+    factors (n - i) / (j - i) of C(n, j) is at least n / j; 0 when j <= 0.  For
+    k > n that 0 is no bound (C(n, k) = 0): add it to no other term."""
     j = min(k, n - k)
     return j * ((n // j).bit_length() - 1) if j > 0 else 0
 

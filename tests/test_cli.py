@@ -131,7 +131,8 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # exponent is stated as 2^(2^k), as its decimal digits are too many to print.
     # An e = 2^3001 lies below the lower bound 2^binomial_bits(10^1000, 3000) on
     # C(10^1000, 3000), whose computation takes seconds; turan_graph's edges are
-    # charged on C(l, r) * (n // l)^r before turan_count loops over all l parts;
+    # charged on C(p, r) * (n // p)^r, p = min(l, n), before turan_count loops
+    # over all l parts;
     # the certify loops are charged on their steps, m + 1 per clique order; and
     # oracle sizes states a lower bound with too many bits for 1 << bits capped
     big, wide = str(10**1000), str(2**3001)
@@ -165,6 +166,12 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
         assert err.startswith("budget refusal:")
+
+
+def test_construct_turan_with_fewer_parts_than_r_writes_the_empty_graph(capsys):
+    # two parts hold no 2000-set, so there is nothing to charge or refuse
+    code, out, _ = run(capsys, "construct", "turan", "--n", "10", "--l", "2", "--r", "2000")
+    assert (code, parse(out).edge_count) == (0, 0)
 
 
 def test_oracle_blowup_verify(capsys):

@@ -52,6 +52,12 @@ def test_turan_graph_counts():
         for l in range(1, n + 1):
             for r in (2, 3):
                 assert turan_graph(n, l, r).edge_count == turan_count(n, l, r)
+    # fewer nonempty parts than r: no edges, whatever the size of r
+    assert turan_graph(10, 2, 2000).edge_count == 0
+    assert turan_graph(10, 2000, 2000).edge_count == 0
+    for n, l, r in ((-(10**400), 1, 3), (10**400, 1, 1), (10**400, 10**400, 1)):
+        with pytest.raises(ValueError):
+            turan_graph(n, l, r)
 
 
 def test_blowup_depths():

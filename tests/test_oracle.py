@@ -115,7 +115,7 @@ def test_binomial_bits_is_a_lower_bound(a, b):
     n, k = max(a, b), min(a, b)
     assert 2 ** binomial_bits(n, k) <= binomial(n, k)
     if k < n:
-        assert binomial_bits(k, n) == 0  # C(k, n) = 0
+        assert binomial_bits(k, n) == 0  # C(k, n) = 0, so this 0 is no bound
 
 
 def test_budget_boundary():
