@@ -211,9 +211,9 @@ def absolutely_avoidable(
     clique-plus-bounded realizability check; the certificate stores both
     refutations and, where available, the gap clique orders.
     """
-    pair = PairQuery(r, m, f)
-    # two witness loops and two gap searches of at most m + 1 steps each
+    # two witness loops and two gap searches of m + 1 steps, charged before PairQuery's C(m, r)
     charge(4 * (m + 1), f"certifying ({m},{f}) over {m + 1} clique orders")
+    pair = PairQuery(r, m, f)
     fbar = pair.max_size - f
     wa = clique_plus_witness(m, f, r, strict=strict)
     wb = clique_plus_witness(m, fbar, r, strict=strict)

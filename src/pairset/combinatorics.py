@@ -38,11 +38,11 @@ def turan_ratio(l: int, r: int) -> Fraction:
 
 
 def partite_sizes(n: int, l: int) -> list[int]:
-    """Balanced partition of n vertices into l parts, sizes descending."""
+    """Sizes of the min(l, n) nonempty parts of n vertices balanced over l parts, descending."""
     if n < 0 or l < 1:
         raise ValueError(f"partite_sizes requires n >= 0 and l >= 1, got ({n}, {l})")
-    q, rem = divmod(n, l)
-    return [q + 1] * rem + [q] * (l - rem)
+    q, rem = divmod(n, l)  # q = 0 and rem = n when l > n
+    return [q + 1] * rem + [q] * (min(l, n) - rem)
 
 
 def turan_count(n: int, l: int, r: int) -> int:
@@ -59,7 +59,7 @@ def turan_count(n: int, l: int, r: int) -> int:
     # elementary symmetric polynomial via incremental products
     coeffs = [1] + [0] * r
     for s in sizes:
-        for i in range(min(r, len(coeffs) - 1), 0, -1):
+        for i in range(r, 0, -1):
             coeffs[i] += coeffs[i - 1] * s
     return coeffs[r]
 

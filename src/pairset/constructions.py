@@ -45,18 +45,16 @@ class SparseGenLog:
 def turan_graph(n: int, l: int, r: int) -> Hypergraph:
     """Balanced complete l-partite r-graph on n vertices, built as products
     of r parts; the parts are consecutive ranges, so each tuple is increasing."""
-    if l < 1:
-        raise ValueError(f"part count must be >= 1, got {l}")
     what = f"turan_graph({n}, {l}, {r}) edges"
-    # the p = min(l, n) nonempty parts, each of at least n // p vertices, hold at
-    # least C(p, r) * (n // p)^r edges, none if p < r; charged first, as
-    # turan_count loops over all l parts (it rejects r < 2 and n < 0 itself)
+    # the p = min(l, n) parts, each of at least n // p vertices, hold at least
+    # C(p, r) * (n // p)^r edges, none if p < r; charged first, as turan_count
+    # loops r times over the p parts (it rejects r < 2, n < 0 and l < 1 itself)
     p = min(l, n)
     if 2 <= r <= p:
         charge(binomial_bits(p, r) + r * ((n // p).bit_length() - 1), what, log2=True)
     charge(turan_count(n, l, r), what)
     ends = list(accumulate(partite_sizes(n, l), initial=0))
-    parts = [range(a, b) for a, b in pairwise(ends) if b > a]
+    parts = [range(a, b) for a, b in pairwise(ends)]
     edges = (t for chosen in combinations(parts, r) for t in product(*chosen))
     return Hypergraph(r, n, frozenset(edges))
 
@@ -75,8 +73,11 @@ def iterated_blowup(base: str, depth: int) -> Hypergraph:
         raise ValueError(f"unknown blow-up base {base!r}; choose from {sorted(_BLOWUP_BASES)}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    charge(_blowup_edge_count(base, depth), f"depth {depth} {base} blow-up edges")
+    what = f"depth {depth} {base} blow-up edges"
     copies, join_triples = _BLOWUP_BASES[base]
+    # the last level alone adds (copies^(depth - 1))^3 edges per joined triple; charged first
+    charge(3 * (depth - 1) * (copies.bit_length() - 1), what, log2=True)
+    charge(_blowup_edge_count(base, depth), what)
     n = 1
     edges: list[tuple[int, ...]] = []
     for _ in range(depth):

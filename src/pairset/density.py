@@ -50,9 +50,10 @@ def density_upper_bound(m: int, f: int, r: int) -> DensityBound:
     """
     if r < 3 or m <= r:
         raise ValueError(f"density bounds require m > r >= 3, got (m={m}, r={r})")
-    pair = PairQuery(r, m, f)
-    # four witness loops of m + 1 steps, and m + 1 - r turan_count loops of l * r <= m * r
+    # four witness loops of m + 1 steps, and m + 1 - r turan_count loops of l * r <= m * r,
+    # charged before PairQuery's C(m, r)
     charge((m + 1) * (4 + m * r), f"density bound for ({m},{f}) over {m + 1} orders and part counts")
+    pair = PairQuery(r, m, f)
     total = pair.max_size
     fbar = total - f
     zero = _missing_realization(m, f, r)

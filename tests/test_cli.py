@@ -9,7 +9,7 @@ import pytest
 
 from pairset import cli
 from pairset.cli import main
-from pairset.hypergraph import parse
+from pairset.hypergraph import complete, parse
 
 
 def run(capsys, *argv):
@@ -132,9 +132,12 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # An e = 2^3001 lies below the lower bound 2^binomial_bits(10^1000, 3000) on
     # C(10^1000, 3000), whose computation takes seconds; turan_graph's edges are
     # charged on C(p, r) * (n // p)^r, p = min(l, n), before turan_count loops
-    # over all l parts;
-    # the certify loops are charged on their steps, m + 1 per clique order; and
-    # oracle sizes states a lower bound with too many bits for 1 << bits capped
+    # r times over its p parts;
+    # the certify loops are charged on their steps, m + 1 per clique order, before
+    # PairQuery computes C(m, r) to check f (seconds at m = 10^1000, r = 3000);
+    # oracle sizes states a lower bound with too many bits for 1 << bits capped;
+    # and a blow-up charges its last level's 2^(3 (depth - 1) floor(log2 copies))
+    # edges before its closed form computes copies^(2 depth)
     big, wide = str(10**1000), str(2**3001)
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
@@ -160,6 +163,10 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("theorem-main", "--r", "3", "--m", str(10**8)),
         ("bounds", "--r", "3", "--m", str(10**8), "--f", "5"),
         ("oracle", "sizes", "--n", str(10**30), "--r", str(5 * 10**29), "--m", "4", "--f", "0"),
+        ("construct", "blowup", "--depth", "3000000"),
+        ("construct", "blowup", "--base", "tight-5-cycle", "--depth", "1000000"),
+        ("avoid", "--r", "3000", "--m", big, "--f", "5"),
+        ("bounds", "--r", "3000", "--m", big, "--f", "5"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -172,6 +179,20 @@ def test_construct_turan_with_fewer_parts_than_r_writes_the_empty_graph(capsys):
     # two parts hold no 2000-set, so there is nothing to charge or refuse
     code, out, _ = run(capsys, "construct", "turan", "--n", "10", "--l", "2", "--r", "2000")
     assert (code, parse(out).edge_count) == (0, 0)
+
+
+def test_construct_turan_with_more_parts_than_vertices_writes_the_complete_graph(capsys):
+    # ten million parts of ten vertices: ten parts of one vertex, and no loop
+    # over the empty ones
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "construct", "turan", "--n", "10", "--l", str(10**7), "--r", "3")
+    assert time.perf_counter() - started < 1.0
+    assert (code, parse(out)) == (0, complete(10, 3))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "construct", "turan", "--n", "10", "--l", "0", "--r", "3")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert "l >= 1" in err
 
 
 def test_oracle_blowup_verify(capsys):

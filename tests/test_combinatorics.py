@@ -71,9 +71,13 @@ def test_partite_sizes():
     assert partite_sizes(9, 3) == [3, 3, 3]
     assert partite_sizes(12, 5) == [3, 3, 2, 2, 2]
     assert partite_sizes(5, 3) == [2, 2, 1]
+    assert partite_sizes(3, 5) == [1, 1, 1]
+    assert partite_sizes(0, 4) == []
     for n in range(0, 20):
         for l in range(1, 8):
             sizes = partite_sizes(n, l)
+            assert len(sizes) == min(l, n)  # the nonempty parts only
+            assert all(s > 0 for s in sizes)
             assert sum(sizes) == n
             assert sizes == sorted(sizes, reverse=True)
             assert set(sizes) <= {n // l, n // l + 1}
@@ -87,7 +91,7 @@ def test_turan_count_values():
 
 def test_turan_count_matches_bruteforce():
     for n in range(0, 13):
-        for l in range(1, n + 1):
+        for l in range(1, n + 4):
             for r in (2, 3, 4):
                 assert turan_count(n, l, r) == len(reference_turan_edges(n, l, r))
 

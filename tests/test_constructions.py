@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pairset import constructions
 from pairset.avoidability import absolutely_avoidable
 from pairset.combinatorics import binomial, colex_key, subsets_colex, turan_count
 from pairset.constructions import (
@@ -55,7 +56,7 @@ def test_turan_graph_counts():
     # fewer nonempty parts than r: no edges, whatever the size of r
     assert turan_graph(10, 2, 2000).edge_count == 0
     assert turan_graph(10, 2000, 2000).edge_count == 0
-    for n, l, r in ((-(10**400), 1, 3), (10**400, 1, 1), (10**400, 10**400, 1)):
+    for n, l, r in ((-(10**400), 1, 3), (10**400, 1, 1), (10**400, 10**400, 1), (10, 0, 3)):
         with pytest.raises(ValueError):
             turan_graph(n, l, r)
 
@@ -100,7 +101,7 @@ def test_blowup_budget():
         iterated_blowup(BASE_SINGLE_EDGE, 0)
 
 
-def test_blowup_edge_count_closed_form():
+def test_blowup_edge_count_closed_form(monkeypatch):
     # the closed form that iterated_blowup charges before it builds any edge
     for base, depths in ((BASE_SINGLE_EDGE, range(1, 5)), (BASE_TIGHT_CYCLE, range(1, 4))):
         for depth in depths:
@@ -110,6 +111,21 @@ def test_blowup_edge_count_closed_form():
     assert _blowup_edge_count(BASE_SINGLE_EDGE, 6) == 16_142_490
     assert _blowup_edge_count(BASE_TIGHT_CYCLE, 3) == 81_375
     assert _blowup_edge_count(BASE_TIGHT_CYCLE, 4) == 10_172_500
+
+    # and before the closed form, its first charge: a b with 2^b <= the edge count
+    class FirstCharge(Exception):
+        pass
+
+    def first_charge(work, what, *, log2=False):
+        assert log2
+        raise FirstCharge(work)
+
+    monkeypatch.setattr(constructions, "charge", first_charge)
+    for base in (BASE_SINGLE_EDGE, BASE_TIGHT_CYCLE):
+        for depth in range(1, 9):
+            with pytest.raises(FirstCharge) as bits:
+                iterated_blowup(base, depth)
+            assert 2 ** bits.value.args[0] <= _blowup_edge_count(base, depth), (base, depth)
 
 
 def test_tight_cycle_blowup():
