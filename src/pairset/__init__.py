@@ -6,7 +6,6 @@ from .avoidability import (
     AvoidabilityCertificate,
     BelowThresholdError,
     CheckedInequality,
-    NearHalfResult,
     RealizabilityWitness,
     absolutely_avoidable,
     clique_deficit_gap,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .combinatorics import PairQuery, binomial, binomial_decompose
-from .errors import charge
+from .errors import charge_steps
 
 KIND_CLIQUE_PLUS = "clique-plus-bounded"
 KIND_COMPLEMENT = "complement-type"
@@ -180,7 +180,7 @@ class AvoidabilityCertificate:
     computed)."""
 
     pair: PairQuery
-    case: str  # "both" | "gap-at-f" | "gap-at-complement" | "no-gap"
+    case: str  # "both" | "gap-at-f" | "gap-at-complement" | "no-gap", or near-half "1" | "1'" | "2"
     k_f: int | None
     k_fbar: int | None
     inequality_trace: tuple[CheckedInequality, ...]
@@ -202,9 +202,7 @@ def _gap_checks(m: int, f: int, r: int, k: int, tag: str) -> tuple[CheckedInequa
     )
 
 
-def absolutely_avoidable(
-    m: int, f: int, r: int, *, strict: bool = False
-) -> AvoidabilityCertificate | None:
+def absolutely_avoidable(m: int, f: int, r: int) -> AvoidabilityCertificate | None:
     """Certificate that (m, f) is absolutely avoidable, or None.
 
     Succeeds exactly when both (m, f) and (m, C(m,r) - f) fail the
@@ -212,11 +210,11 @@ def absolutely_avoidable(
     refutations and, where available, the gap clique orders.
     """
     # two witness loops and two gap searches of m + 1 steps, charged before PairQuery's C(m, r)
-    charge(4 * (m + 1), f"certifying ({m},{f}) over {m + 1} clique orders")
+    charge_steps(4 * (m + 1), m, r, f"certifying ({m},{f}) over {m + 1} clique orders")
     pair = PairQuery(r, m, f)
     fbar = pair.max_size - f
-    wa = clique_plus_witness(m, f, r, strict=strict)
-    wb = clique_plus_witness(m, fbar, r, strict=strict)
+    wa = clique_plus_witness(m, f, r)
+    wb = clique_plus_witness(m, fbar, r)
     if isinstance(wa, RealizabilityWitness) or isinstance(wb, RealizabilityWitness):
         return None
     k_f = clique_surplus_gap(m, f, r)
@@ -239,20 +237,13 @@ def absolutely_avoidable(
     )
 
 
-@dataclass(frozen=True)
-class NearHalfResult:
-    """Outcome of the near-half certification: the certified size f, which
-    branch of the case analysis produced it, and the certificate."""
-
-    f: int
-    case: str  # "1" | "1'" | "2"
-    certificate: AvoidabilityCertificate
-
-
-def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
+def near_half_avoidable_pair(m: int, r: int) -> AvoidabilityCertificate:
     """Certify that either (m, floor(C(m,r)/2)) or that size shifted down by
     m + 1 is absolutely avoidable, validating every inequality the case
-    analysis relies on with exact arithmetic.
+    analysis relies on with exact arithmetic.  The certificate's case is the
+    branch taken, "1", "1'" or "2", and it holds both gap orders k_f, k_fbar.
+    Case 1' needs C(m, r) = 2 C(x + 1, r) - 1, and no m <= 20,000 at r = 3 nor
+    m < 3,000 at r = 4..8 reaches it; the argument still needs it for every m.
 
     Raises BelowThresholdError (listing the first failing inequality) when m
     is too small for the argument to go through.
@@ -262,10 +253,12 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
     if m < r:
         raise ValueError(f"order must be >= uniformity, got m={m} < r={r}")
     # binomial_decompose(f0, r) stops below x = m, at most m steps
-    charge(m, f"the clique order below half of C({m},{r})")
+    charge_steps(m, m, r, f"the clique order below half of C({m},{r})")
     total = binomial(m, r)
     f0 = total // 2
     c0 = total - f0  # ceil(total / 2)
+    f_minus = f0 - (m + 1)
+    f_plus = c0 + (m + 1)
     x, _ = binomial_decompose(f0, r)
     trace = [
         CheckedInequality(f"decomposition: C({x},{r}) <= floor(C(m,{r})/2)", binomial(x, r), "<=", f0),
@@ -288,8 +281,6 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
             f_cert, case, k_f, k_fbar = f0, "1", x, x
         else:
             # case 1': the ceiling lands exactly on C(x+1,r); shift by m + 1
-            f_minus = f0 - (m + 1)
-            f_plus = c0 + (m + 1)
             require(CheckedInequality("case 1': C(x,r) + m < f-", binomial(x, r) + m, "<", f_minus))
             require(CheckedInequality("case 1': f- < C(x+1,r)", f_minus, "<", binomial(x + 1, r)))
             require(
@@ -299,18 +290,13 @@ def near_half_avoidable_pair(m: int, r: int) -> NearHalfResult:
             f_cert, case, k_f, k_fbar = f_minus, "1'", x, x + 1
     else:
         # case 2: the floor sits within m of C(x,r); shift by m + 1
-        f_minus = f0 - (m + 1)
-        f_plus = c0 + (m + 1)
         require(CheckedInequality("case 2: f- >= 0", f_minus, ">=", 0))
         require(CheckedInequality("case 2: C(x-1,r) + m < f-", binomial(x - 1, r) + m, "<", f_minus))
         require(CheckedInequality("case 2: f- < C(x,r)", f_minus, "<", binomial(x, r)))
         require(CheckedInequality("case 2: C(x,r) + m < f+", binomial(x, r) + m, "<", f_plus))
         require(CheckedInequality("case 2: f+ < C(x+1,r)", f_plus, "<", binomial(x + 1, r)))
         f_cert, case, k_f, k_fbar = f_minus, "2", x - 1, x
-    certificate = AvoidabilityCertificate(
-        PairQuery(r, m, f_cert), "both", k_f, k_fbar, tuple(trace)
-    )
-    return NearHalfResult(f_cert, case, certificate)
+    return AvoidabilityCertificate(PairQuery(r, m, f_cert), case, k_f, k_fbar, tuple(trace))
 
 
 def _missing_realization(
@@ -339,7 +325,7 @@ def positive_density_candidates(m: int, r: int, *, strict: bool = False) -> set[
         raise ValueError(f"order must exceed uniformity, got m={m}, r={r}")
     total = binomial(m, r)
     # at most four witness loops of m + 1 steps for each of the sizes
-    charge(4 * (m + 1) * total, f"candidate sweep over C({m},{r}) sizes at order {m}")
+    charge_steps(4 * (m + 1) * total, m, r, f"candidate sweep over C({m},{r}) sizes at order {m}")
     return {
         f
         for f in range(1, total)

@@ -94,9 +94,8 @@ def _avoid_text(doc: dict) -> list[str]:
 
 
 def _theorem_main(args) -> dict:
-    result = avoidability.near_half_avoidable_pair(args.m, args.r)
-    doc = certificate_document(result.certificate)
-    return dict(doc, case=result.case, certified_f=result.f)
+    cert = avoidability.near_half_avoidable_pair(args.m, args.r)
+    return dict(certificate_document(cert), certified_f=cert.pair.f)
 
 
 def _theorem_main_text(doc: dict) -> list[str]:

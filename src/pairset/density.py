@@ -21,7 +21,7 @@ from .combinatorics import (
     turan_count,
     turan_ratio,
 )
-from .errors import charge
+from .errors import charge_steps
 
 CASE_ZERO = "zero-certificate"
 CASE_ONE_SIDED = "one-sided"
@@ -52,7 +52,8 @@ def density_upper_bound(m: int, f: int, r: int) -> DensityBound:
         raise ValueError(f"density bounds require m > r >= 3, got (m={m}, r={r})")
     # four witness loops of m + 1 steps, and m + 1 - r turan_count loops of l * r <= m * r,
     # charged before PairQuery's C(m, r)
-    charge((m + 1) * (4 + m * r), f"density bound for ({m},{f}) over {m + 1} orders and part counts")
+    charge_steps((m + 1) * (4 + m * r), m, r,
+                 f"density bound for ({m},{f}) over {m + 1} orders and part counts")
     pair = PairQuery(r, m, f)
     total = pair.max_size
     fbar = total - f

@@ -1,5 +1,6 @@
 """Shared exception types, and the one refusal policy for enumerations: charge,
-binomial_bits to place a count below C(n, k), and charge_binomial for one C(n, k)."""
+binomial_bits to place a count below C(n, k), charge_binomial for one C(n, k),
+and charge_steps for loops over numbers as large as C(n, k)."""
 
 from .combinatorics import binomial
 
@@ -46,3 +47,10 @@ def charge_binomial(n: int, k: int, what: str) -> int:
     work = binomial(n, k)
     charge(work, what)
     return work
+
+
+def charge_steps(steps: int, n: int, k: int, what: str) -> None:
+    """Charge steps that each compute numbers of up to C(n, k) against WORK_CAP,
+    (1 + b // 64)^2 units a step for b = binomial_bits(n, k): the schoolbook cost
+    of a product of b-bit numbers in 64-bit words.  Computes no C(n, k)."""
+    charge(steps * (1 + binomial_bits(n, k) // 64) ** 2, what)

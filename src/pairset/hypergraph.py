@@ -18,7 +18,7 @@ from operator import lt
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .combinatorics import binomial
-from .errors import charge_binomial
+from .errors import charge, charge_binomial
 
 
 class ParseError(ValueError):
@@ -126,7 +126,8 @@ def _scan(
     lexicographic order, every m-subset inducing more than limit edges; a
     prefix that already induces more than limit edges yields all of its
     extensions at once, with no descent below it.  The C(n, m) subsets are
-    charged when the first value is asked for, to errors.charge_binomial.
+    charged when the first value is asked for, to errors.charge_binomial, and
+    then the n-entry table copies of the C(n, m - 1) prefixes, n / 16 each.
     Unless r <= m <= n no m-subset holds an edge: the histogram is then
     {0: C(n, m)}, and nothing is over a limit.
 
@@ -146,6 +147,8 @@ def _scan(
         if limit is None:
             yield {0: subsets}
         return
+    # each (m - 1)-prefix copies an n-entry table; C(n, m - 1) = C(n, m) m / (n - m + 1)
+    charge(subsets * m // (n - m + 1) * -(-n // 16), f"copying {n}-entry tables for C({n},{m - 1}) prefixes")
     top = max(1, r - 2)
     link: dict[tuple[int, ...], int] = {}
     for e in edges:

@@ -161,8 +161,8 @@ def test_criterion_4_near_half_sweep_to_500():
         except BelowThresholdError:
             failures.append(m)
             continue
-        certified[m] = res.f
-        cert = absolutely_avoidable(m, res.f, 3)
+        certified[m] = res.pair.f
+        cert = absolutely_avoidable(m, res.pair.f, 3)
         assert cert is not None, f"certificate for m={m} failed independent re-verification"
     threshold = max(failures) + 1 if failures else 4
     ok = (

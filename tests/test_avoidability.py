@@ -8,6 +8,7 @@ from pairset.avoidability import (
     KIND_CLIQUE_PLUS,
     KIND_COMPLEMENT,
     AbsenceProof,
+    AvoidabilityCertificate,
     CheckedInequality,
     BelowThresholdError,
     RealizabilityWitness,
@@ -176,10 +177,10 @@ def test_certificate_complement_symmetry():
 
 def test_near_half_examples():
     res = near_half_avoidable_pair(12, 3)
-    assert (res.f, res.case) == (110, "1")
-    assert res.certificate.pair.f == 110
+    assert isinstance(res, AvoidabilityCertificate)
+    assert (res.pair.f, res.case) == (110, "1")
     res100 = near_half_avoidable_pair(100, 3)
-    assert (res100.f, res100.case) == (80850, "1")
+    assert (res100.pair.f, res100.case) == (80850, "1")
     with pytest.raises(BelowThresholdError) as exc:
         near_half_avoidable_pair(5, 3)
     assert "C(3,2)" in str(exc.value)
@@ -203,8 +204,8 @@ def test_near_half_reverifies_independently():
             except BelowThresholdError:
                 failures.add(m)
                 continue
-            cert = absolutely_avoidable(m, res.f, r)
-            assert cert is not None, (m, r, res.f)
+            cert = absolutely_avoidable(m, res.pair.f, r)
+            assert cert is not None, (m, r, res.pair.f)
         assert failures == expect
 
 

@@ -136,13 +136,21 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # the certify loops are charged on their steps, m + 1 per clique order, before
     # PairQuery computes C(m, r) to check f (seconds at m = 10^1000, r = 3000);
     # oracle sizes states a lower bound with too many bits for 1 << bits capped;
-    # and a blow-up charges its last level's 2^(3 (depth - 1) floor(log2 copies))
-    # edges before its closed form computes copies^(2 depth)
+    # a blow-up charges its last level's 2^(3 (depth - 1) floor(log2 copies))
+    # edges before its closed form computes copies^(2 depth); a certify step
+    # costs (1 + b // 64)^2 units for b = binomial_bits(m, r), so a large r
+    # refuses on its binomials' size; and the kernel charges n / 16 units for
+    # the n-entry table each (m - 1)-prefix copies, so the C(1500, 1498) copies
+    # of m = 1499 refuse, as does m = n = 40000, whose tables would fill 13 GB
     big, wide = str(10**1000), str(2**3001)
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
     huge = tmp_path / "huge.hg"
     huge.write_text("3 1000000\n")
+    near = tmp_path / "near.hg"
+    near.write_text("3 1500\n")
+    full = tmp_path / "full.hg"
+    full.write_text("3 40000\n")
     for argv in (
         ("construct", "turan", "--n", "100000", "--l", "3", "--r", "3"),
         ("construct", "sparse", "--n", "45", "--r", "3", "--m", "6", "--constant", "4"),
@@ -167,6 +175,12 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("construct", "blowup", "--base", "tight-5-cycle", "--depth", "1000000"),
         ("avoid", "--r", "3000", "--m", big, "--f", "5"),
         ("bounds", "--r", "3000", "--m", big, "--f", "5"),
+        ("avoid", "--r", "3000", "--m", "6000", "--f", "5"),
+        ("theorem-main", "--r", "5000", "--m", "10000"),
+        ("avoid", "--r", "100000", "--m", "200000", "--f", "5"),
+        ("theorem-main", "--r", "100000", "--m", "200000"),
+        ("spectrum", "--in", str(near), "--m", "1499"),
+        ("spectrum", "--in", str(full), "--m", "40000"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
