@@ -18,8 +18,8 @@ from .combinatorics import (
     subsets_colex,
     turan_count,
 )
-from .errors import binomial_bits, charge, charge_binomial
-from .hypergraph import Hypergraph, complement, complete, disjoint_union, is_sparse, overfull_subsets
+from .errors import below_binomial, binomial_bits, charge, charge_binomial
+from .hypergraph import Hypergraph, complement, complete, disjoint_union, overfull_subsets
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
 BASE_TIGHT_CYCLE = "tight-5-cycle"
@@ -101,10 +101,11 @@ def random_sparse(
     most m edges.
 
     Each r-set is kept independently with probability derived from the
-    density constant.  A sample that is_sparse accepts is the result.
-    Otherwise one repair pass visits, for each sampled edge in colex order
-    that is still present (its anchor turn), every m-set through it, and
-    deletes the lowest-colex edge of a violating set until it complies.
+    density constant.  The sample is scanned once, by overfull_subsets, and
+    one with no over-full m-set is the result.  Otherwise one repair pass
+    visits, for each sampled edge in colex order that is still present (its
+    anchor turn), every m-set through it, and deletes the lowest-colex edge
+    of a violating set until it complies.
     One pass suffices: an m-set still holding more than m edges at the end
     holds a surviving edge b; b was present at its own anchor turn, when the
     pass visited the set and left it at most m edges, and edges are only
@@ -114,7 +115,7 @@ def random_sparse(
     Because edges are only removed, a visit changes something only in an
     m-set that is over-full (holds more than m edges) in the sample, and
     only at its first visit, which leaves it at most m edges for good.  So
-    the pass takes the over-full sets from overfull_subsets, indexes each
+    the pass takes the over-full sets from that same scan, indexes each
     under the sampled edges it holds, and visits each once, at the first
     anchor turn through it.  For one anchor, lexicographic order on the
     m-sets is the order of their extensions, so the visits and deletions
@@ -133,7 +134,9 @@ def random_sparse(
     sample = [t for t in subsets_colex(n, r) if rng.random() < p]
     g = Hypergraph(r, n, frozenset(sample))
     repairs = 0
-    if not is_sparse(g, m):
+    over = overfull_subsets(g, m)
+    first = next(over, None)
+    if first is not None:
         # an upper bound: the pass looks up the C(m, r) r-sets of each over-full
         # m-set twice, and as each holds at least m + 1 >= 3 sampled edges, each in
         # C(n - r, m - r) m-sets, there are at most len(sample) * C(n - r, m - r) / 3
@@ -146,7 +149,7 @@ def random_sparse(
         # the over-full sets, and under each sampled edge the positions of the
         # sets through it; visits are marked in a bytearray, since a set of the
         # tuples raised the construct benchmark's peak RSS by about 0.4 MB
-        over = list(overfull_subsets(g, m))
+        over = [first, *over]
         through: dict[tuple[int, ...], list[int]] = {}
         for k, s in enumerate(over):
             for t in combinations(s, r):
@@ -189,8 +192,7 @@ def realize_clique_plus_sparse(
         raise ValueError(f"need m >= r >= 2, got m={m}, r={r}")
     if e < 0:
         raise ValueError(f"edge count must be >= 0, got {e}")
-    # while 2e < 2^binomial_bits(n, r) <= C(n, r), C(n, r) need not be computed
-    if (2 * e).bit_length() > binomial_bits(n, r) and 2 * e > binomial(n, r):
+    if not below_binomial(2 * e, n, r) and 2 * e > binomial(n, r):
         raise ValueError(
             f"e={e} exceeds the density cap 1/2 * C({n},{r}) = "
             f"{Fraction(binomial(n, r), 2)}; realize the complement instead"
@@ -237,7 +239,7 @@ def realize_complement_sparse(
     complementary size C(n, r) - e.
     """
     below_half = f"e={e} is below (1 - 1/2) * C({n},{r}); realize the pair directly instead"
-    if 0 <= e and e.bit_length() < binomial_bits(n, r):  # 2e < 2^binomial_bits(n, r) <= C(n, r)
+    if below_binomial(2 * e, n, r):
         raise ValueError(below_half)
     total = binomial(n, r)
     if not 0 <= e <= total:

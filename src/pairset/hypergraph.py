@@ -126,8 +126,9 @@ def _scan(
     lexicographic order, every m-subset inducing more than limit edges; a
     prefix that already induces more than limit edges yields all of its
     extensions at once, with no descent below it.  The C(n, m) subsets are
-    charged when the first value is asked for, to errors.charge_binomial, and
-    then the n-entry table copies of the C(n, m - 1) prefixes, n / 16 each.
+    charged when the first value is asked for, to errors.charge_binomial,
+    then the n-entry table copies of the C(n, m - 1) prefixes, n / 16 each,
+    and then the (m - 1) n level-1 table entries held at once.
     Unless r <= m <= n no m-subset holds an edge: the histogram is then
     {0: C(n, m)}, and nothing is over a limit.
 
@@ -149,6 +150,7 @@ def _scan(
         return
     # each (m - 1)-prefix copies an n-entry table; C(n, m - 1) = C(n, m) m / (n - m + 1)
     charge(subsets * m // (n - m + 1) * -(-n // 16), f"copying {n}-entry tables for C({n},{m - 1}) prefixes")
+    charge((m - 1) * n, f"holding {m - 1} tables of {n} entries")
     top = max(1, r - 2)
     link: dict[tuple[int, ...], int] = {}
     for e in edges:

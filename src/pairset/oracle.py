@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, iterated_blowup
-from .errors import EXACT_BITS, binomial_bits, charge
+from .errors import EXACT_BITS, below_binomial, binomial_bits, charge
 from .hypergraph import Hypergraph, complement, hypergraph, spectrum
 
 DEFAULT_BUDGET = 100_000_000
@@ -33,7 +33,6 @@ def resolve_budget(budget: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class ArrowVerdict:
-    query: tuple[int, int, int, int, int]  # (n, e, r, m, f)
     arrows: bool
     counterexample: Hypergraph | None
     graphs_examined: int
@@ -59,7 +58,7 @@ def _check_query(n: int, r: int, m: int, f: int) -> None:
         raise ValueError(f"need r >= 2 and n >= 0, got (n={n}, r={r})")
     if not 0 <= m <= n:
         raise ValueError(f"subset order must lie in [0, {n}], got {m}")
-    if f < 0 or (f.bit_length() > binomial_bits(m, r) and f > binomial(m, r)):
+    if not below_binomial(f, m, r) and not 0 <= f <= binomial(m, r):
         raise ValueError(f"size must lie in [0, C({m},{r})], got {f}")
 
 
@@ -89,20 +88,19 @@ def pair_arrows(
     _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
     what = "pair_arrows (raise the budget with --budget)"
-    if 0 < e and e.bit_length() <= binomial_bits(n, r):  # e < C(n, r), so C(C(n, r), e) >= C(n, r)
+    if 0 < e and below_binomial(e, n, r):  # then C(C(n, r), e) >= C(n, r)
         charge(binomial_bits(n, r) + binomial_bits(n, m), what, allowed, log2=True)
     slots = binomial(n, r)
     if not 0 <= e <= slots:
         raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {slots}], got {e}")
     charge(binomial_bits(slots, e) + binomial_bits(n, m), what, allowed, log2=True)
     charge(binomial(slots, e) * binomial(n, m), what, allowed)
-    query = (n, e, r, m, f)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
         if f == (binomial(m, r) if e else 0):
-            return ArrowVerdict(query, True, None, 1)
+            return ArrowVerdict(True, None, 1)
         charge(e, f"the complete counterexample over C({n},{r}) r-sets", allowed)
         edges = frozenset(combinations(range(n), r)) if e else frozenset()
-        return ArrowVerdict(query, False, Hypergraph(r, n, edges), 1)
+        return ArrowVerdict(False, Hypergraph(r, n, edges), 1)
     # the complements of e-sets in colex order are (slots - e)-sets in reverse
     # colex order; over k-sets the walk fixes C(slots, k - 1) - 1 prefixes,
     # fewer than the C(slots, k) graphs while k <= slots / 2
@@ -137,10 +135,10 @@ def pair_arrows(
                 i = miss.bit_length() - 1 if flip else (miss & -miss).bit_length() - 1
                 chosen = {i, *prefix}  # the edges, or under flip the non-edges
                 cex = hypergraph(r, n, (t for j, t in enumerate(rsets) if (j in chosen) != flip))
-                return ArrowVerdict(query, False, cex, examined + (hi - i if flip else i + 1))
+                return ArrowVerdict(False, cex, examined + (hi - i if flip else i + 1))
             examined += hi
         if not prefix:
-            return ArrowVerdict(query, True, None, examined)
+            return ArrowVerdict(True, None, examined)
         y = prefix.pop()
         fixed ^= 1 << y
         y += -1 if flip else 1

@@ -141,7 +141,10 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # costs (1 + b // 64)^2 units for b = binomial_bits(m, r), so a large r
     # refuses on its binomials' size; and the kernel charges n / 16 units for
     # the n-entry table each (m - 1)-prefix copies, so the C(1500, 1498) copies
-    # of m = 1499 refuse, as does m = n = 40000, whose tables would fill 13 GB
+    # of m = 1499 refuse, as does m = n = 40000, whose tables would fill 13 GB;
+    # it also charges the (m - 1) n entries of the level-1 tables it holds at
+    # once, so m = n = 4000 (about 130 MB of tables) refuses.  Any lower bound
+    # over the cap refuses, so turan_count never runs over 10^6 or 10^7 parts
     big, wide = str(10**1000), str(2**3001)
     empty = tmp_path / "empty.hg"
     empty.write_text("3 20000\n")
@@ -151,6 +154,8 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
     near.write_text("3 1500\n")
     full = tmp_path / "full.hg"
     full.write_text("3 40000\n")
+    held = tmp_path / "held.hg"
+    held.write_text("3 4000\n")
     for argv in (
         ("construct", "turan", "--n", "100000", "--l", "3", "--r", "3"),
         ("construct", "sparse", "--n", "45", "--r", "3", "--m", "6", "--constant", "4"),
@@ -181,6 +186,9 @@ def test_construct_turan_refuses_at_once(tmp_path, capsys):
         ("theorem-main", "--r", "100000", "--m", "200000"),
         ("spectrum", "--in", str(near), "--m", "1499"),
         ("spectrum", "--in", str(full), "--m", "40000"),
+        ("spectrum", "--in", str(held), "--m", "4000"),
+        ("construct", "turan", "--n", str(10**7), "--l", str(10**7), "--r", "3"),
+        ("construct", "turan", "--n", str(10**6), "--l", str(10**6), "--r", "3"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pairset.combinatorics import binomial, turan_count
 from pairset.constructions import BASE_SINGLE_EDGE, iterated_blowup
-from pairset.errors import BudgetExceededError, binomial_bits, charge
+from pairset.errors import BudgetExceededError, WORK_CAP, below_binomial, binomial_bits, charge
 from pairset.hypergraph import complete, graph_arrows, hypergraph, induced, spectrum
 from pairset.oracle import (
     non_arrowing_sizes,
@@ -116,6 +116,29 @@ def test_binomial_bits_is_a_lower_bound(a, b):
     assert 2 ** binomial_bits(n, k) <= binomial(n, k)
     if k < n:
         assert binomial_bits(k, n) == 0  # C(k, n) = 0, so this 0 is no bound
+
+
+# C(5, 5) = 1 holds only 0 below it, C(3, 4) = 0 holds nothing, and no
+# negative count is placed
+@given(st.integers(0, 400), st.integers(0, 410), st.integers(-2, 2**400))
+@example(5, 5, 1)
+@example(3, 4, 0)
+@example(10, 3, -1)
+def test_below_binomial_places_only_counts_below(n, k, x):
+    if below_binomial(x, n, k):
+        assert 0 <= x < binomial(n, k)
+
+
+def test_any_bound_over_the_budget_refuses():
+    # 2^23 < WORK_CAP < 2^24: the bound refuses as soon as 2^b passes the cap,
+    # not only from 2^EXACT_BITS on
+    assert 2**23 < WORK_CAP < 2**24
+    charge(23, "x", log2=True)
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^24 units"):
+        charge(24, "x", log2=True)
+    charge(9, "x", 512, log2=True)
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^10 units"):
+        charge(10, "x", 1023, log2=True)
 
 
 def test_budget_boundary():
