@@ -19,7 +19,7 @@ from .combinatorics import (
     turan_count,
 )
 from .errors import below_binomial, binomial_bits, charge, charge_binomial
-from .hypergraph import Hypergraph, complement, complete, disjoint_union, overfull_subsets
+from .hypergraph import Hypergraph, _unchecked, complement, complete, disjoint_union, overfull_subsets
 
 BASE_SINGLE_EDGE = "single-edge-on-3-vertices"
 BASE_TIGHT_CYCLE = "tight-5-cycle"
@@ -56,7 +56,7 @@ def turan_graph(n: int, l: int, r: int) -> Hypergraph:
     ends = list(accumulate(partite_sizes(n, l), initial=0))
     parts = [range(a, b) for a, b in pairwise(ends)]
     edges = (t for chosen in combinations(parts, r) for t in product(*chosen))
-    return Hypergraph(r, n, frozenset(edges))
+    return _unchecked(r, n, frozenset(edges))
 
 
 def _blowup_edge_count(base: str, depth: int) -> int:
@@ -91,7 +91,7 @@ def iterated_blowup(base: str, depth: int) -> Hypergraph:
                 nxt.append((a * n + va, b * n + vb, c * n + vc))
         edges = nxt
         n *= copies
-    return Hypergraph(3, n, frozenset(edges))
+    return _unchecked(3, n, frozenset(edges))
 
 
 def random_sparse(
@@ -132,7 +132,7 @@ def random_sparse(
     p = min(1.0, float(density_constant) * n ** (-m / (m + 1)))
     rng = random.Random(seed)
     sample = [t for t in subsets_colex(n, r) if rng.random() < p]
-    g = Hypergraph(r, n, frozenset(sample))
+    g = _unchecked(r, n, frozenset(sample))
     repairs = 0
     over = overfull_subsets(g, m)
     first = next(over, None)
@@ -169,7 +169,7 @@ def random_sparse(
                     edges.remove(victim)
                     inside.remove(victim)
                     repairs += 1
-        g = Hypergraph(r, n, frozenset(edges))
+        g = _unchecked(r, n, frozenset(edges))
     return g, SparseGenLog(p, round(p * slots), len(sample), repairs, g.edge_count)
 
 
@@ -202,7 +202,7 @@ def realize_clique_plus_sparse(
     # k has C(k, r) <= e <= C(n, r) / 2, so k < n
     k = min(k, n)
     if h == 0:
-        return Hypergraph(r, n, complete(k, r).edges)  # the clique plus isolated vertices
+        return _unchecked(r, n, complete(k, r).edges)  # the clique plus isolated vertices
     v = n - k
     if v <= m:
         raise ValueError(
@@ -215,7 +215,7 @@ def realize_clique_plus_sparse(
         attempts.append(sparse.edge_count)
         if sparse.edge_count >= h:
             # a subset of an m-sparse edge set is m-sparse
-            part = Hypergraph(r, v, frozenset(sorted(sparse.edges, key=colex_key)[:h]))
+            part = _unchecked(r, v, frozenset(sorted(sparse.edges, key=colex_key)[:h]))
             return disjoint_union(complete(k, r), part)
         c *= 2
     raise ValueError(

@@ -7,7 +7,10 @@ each prefix forward, so the last vertex of an m-subset costs one list read
 instead of C(m, r) r-set lookups.  The kernel charges its own C(n, m)
 subsets, and complete and complement their C(n, r) r-sets, to
 errors.charge_binomial before they start, so every enumeration here is
-exhaustive or refuses.
+exhaustive or refuses.  The builders here and in constructions, whose edges
+are valid by construction or, in parse, checked line by line, skip
+Hypergraph's per-edge checks through _unchecked; Hypergraph(...) and
+hypergraph(...) check every edge.
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ def _edge_error(e: tuple[int, ...], r: int, n: int) -> str | None:
     return None
 
 
+def _unchecked(r: int, n: int, edges: frozenset[tuple[int, ...]]) -> Hypergraph:
+    """Hypergraph(r, n, edges) for edges that this package builds valid: r and
+    n are checked, with the same errors, and the per-edge checks are skipped."""
+    g = Hypergraph(r, n, frozenset())
+    object.__setattr__(g, "edges", edges)  # frozen: set once, before g is shared
+    return g
+
+
 def hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Build a hypergraph, normalising each edge to a sorted tuple; an edge
     with a repeated vertex is not strictly increasing, so it is rejected."""
@@ -75,14 +86,14 @@ def hypergraph(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph on n vertices (empty when n < r)."""
     charge_binomial(n, r, f"complete over C({n},{r}) r-sets")
-    return Hypergraph(r, n, frozenset(combinations(range(n), r)))
+    return _unchecked(r, n, frozenset(combinations(range(n), r)))
 
 
 def complement(g: Hypergraph) -> Hypergraph:
     """Same vertices; edge set is all r-subsets not in g."""
     charge_binomial(g.n, g.r, f"complement over C({g.n},{g.r}) r-sets")
     missing = frozenset(t for t in combinations(range(g.n), g.r) if t not in g.edges)
-    return Hypergraph(g.r, g.n, missing)
+    return _unchecked(g.r, g.n, missing)
 
 
 def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:
@@ -90,7 +101,7 @@ def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     if g.r != h.r:
         raise ValueError(f"uniformity mismatch: {g.r} vs {h.r}")
     shifted = (tuple(v + g.n for v in e) for e in h.edges)
-    return Hypergraph(g.r, g.n + h.n, g.edges | frozenset(shifted))
+    return _unchecked(g.r, g.n + h.n, g.edges | frozenset(shifted))
 
 
 def induced(g: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
@@ -105,7 +116,7 @@ def induced(g: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     edges = (
         tuple(relabel[v] for v in e) for e in g.edges if all(v in keep for v in e)
     )
-    return Hypergraph(g.r, len(chosen), frozenset(edges))
+    return _unchecked(g.r, len(chosen), frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -127,8 +138,9 @@ def _scan(
     prefix that already induces more than limit edges yields all of its
     extensions at once, with no descent below it.  The C(n, m) subsets are
     charged when the first value is asked for, to errors.charge_binomial,
-    then the n-entry table copies of the C(n, m - 1) prefixes, n / 16 each,
-    and then the (m - 1) n level-1 table entries held at once.
+    then the table copies of the C(n, m - 1) prefixes, n / 16 each (a copy
+    holds at most n entries), and then the (m - 1) n level-1 table entries
+    held at once.
     Unless r <= m <= n no m-subset holds an edge: the histogram is then
     {0: C(n, m)}, and nothing is over a limit.
 
@@ -136,12 +148,15 @@ def _scan(
     Level j of P holds, for each j-set T above max(P), the number of
     (r - j)-subsets Q of P for which Q | T is an edge.  Only the top j
     vertices of an edge can form such a T, so levels j >= 2 are tables over
-    edge suffixes; level 1 is indexed by vertex.  Extending P by y adds
-    level 1 at y to the count of P, and level j + 1 at {y} | T to level j at
-    T.  The last vertex of an m-subset therefore costs one read of level 1.
-    Levels 1..top are tables, top = max(1, r - 2).  Level top + 1 is a
-    popcount: the link bitmask of an (r - 1)-set (the lowest vertices of the
-    edges through it) against the bitmask of P.
+    edge suffixes; level 1 is a suffix table, one entry per vertex above
+    max(P), so extending P by y copies the n - y - 1 entries above y.
+    Extending P by y adds level 1 at y to the count of P, and level j + 1 at
+    {y} | T to level j at T.  Levels 1..top are tables, top = max(1, r - 2).
+    Level top + 1 is a popcount: the link bitmask of an (r - 1)-set (the
+    lowest vertices of the edges through it) against the bitmask of P.
+    The prefixes of m - 2 vertices push no frames: for each y they build
+    the level-1 row above y of P | {y}, whose entries are the counts of
+    the m-subsets P | {y, z}, and read it into the histogram or the listing.
     """
     subsets = charge_binomial(n, m, f"induced-count scan over C({n},{m}) subsets")
     if not r <= m <= n:
@@ -164,16 +179,23 @@ def _scan(
             slot[j].setdefault(key[-j:], len(slot[j]))
 
     def index(j: int, key: tuple[int, ...]) -> int:
-        return key[0] if j == 1 else slot[j][key]
+        # where level j of P | {key[0]} keeps key[1:]; level 1 starts at key[0] + 1
+        return key[1] - key[0] - 1 if j == 1 else slot[j][key[1:]]
 
     # feed[j][y]: (index at level j, index at level j + 1 or link bits) of
     # the suffixes that start at y
     feed: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(top + 1)]
     for j in range(1, top):
         for key, k in slot[j + 1].items():
-            feed[j][key[0]].append((index(j, key[1:]), k))
+            feed[j][key[0]].append((index(j, key), k))
     for key, bits in link.items():
-        feed[top][key[0]].append((index(top, key[1:]), bits))
+        feed[top][key[0]].append((index(top, key), bits))
+
+    def extensions(y: int) -> Iterator[tuple[int, ...]]:
+        # every m-subset through the prefix on the stack and y
+        prefix = (*(f[0] for f in frames[1:]), y)
+        return (prefix + rest for rest in combinations(range(y + 1, n), m - len(prefix)))
+
     # no m-subset induces more edges than there are
     hist = [0] * (len(edges) + 1) if limit is None else None
     # one frame per prefix vertex: [max(P), count, bitmask, levels, next y]
@@ -182,30 +204,22 @@ def _scan(
         d = len(frames) - 1
         last, c, mask, tables, start = frames[-1]
         stop = n - m + d + 1  # a larger y leaves too few vertices above it
-        leaf = d == m - 2  # the children's children are whole m-subsets
-        levels = range(1, min(top, m - d - 1) + 1)  # the levels children need
         level1 = tables[0]
-        for y in range(start, stop):
-            c2 = c + level1[y]
-            if limit is not None and c2 > limit:
-                prefix = (*(f[0] for f in frames[1:]), y)
-                for rest in combinations(range(y + 1, n), m - d - 1):
-                    yield prefix + rest
-                continue
-            mask2 = mask | 1 << y
-            tables2 = []
-            for j in levels:
-                table = tables[j - 1][:]
-                if j < top:
-                    above = tables[j]
-                    for s, k in feed[j][y]:
-                        table[s] += above[k]
+        if d == m - 2:  # the children of P | {y} are whole m-subsets
+            above = tables[1] if top > 1 else None
+            for y in range(start, stop):
+                c2 = c + level1[y - last - 1]
+                if limit is not None and c2 > limit:
+                    yield from extensions(y)
+                    continue
+                row = level1[y - last:]
+                if above is None:
+                    mask2 = mask | 1 << y
+                    for s, bits in feed[1][y]:
+                        row[s] += (bits & mask2).bit_count()
                 else:
-                    for s, bits in feed[j][y]:
-                        table[s] += (bits & mask2).bit_count()
-                tables2.append(table)
-            if leaf:
-                row = tables2[0][y + 1:]
+                    for s, k in feed[1][y]:
+                        row[s] += above[k]
                 if limit is None:
                     for a in row:
                         hist[c2 + a] += 1
@@ -214,7 +228,26 @@ def _scan(
                     for z, a in enumerate(row, y + 1):
                         if c2 + a > limit:
                             yield (*prefix, z)
+            frames.pop()
+            continue
+        levels = range(1, min(top, m - d - 1) + 1)  # the levels children need
+        for y in range(start, stop):
+            c2 = c + level1[y - last - 1]
+            if limit is not None and c2 > limit:
+                yield from extensions(y)
                 continue
+            mask2 = mask | 1 << y
+            tables2 = []
+            for j in levels:
+                table = level1[y - last:] if j == 1 else tables[j - 1][:]
+                if j < top:
+                    above = tables[j]
+                    for s, k in feed[j][y]:
+                        table[s] += above[k]
+                else:
+                    for s, bits in feed[j][y]:
+                        table[s] += (bits & mask2).bit_count()
+                tables2.append(table)
             frames[-1][4] = y + 1
             frames.append([y, c2, mask2, tables2, y + 1])
             break
@@ -291,4 +324,4 @@ def parse(text: str) -> Hypergraph:
         edges.add(vs)
     if r is None or n is None:
         raise ParseError(1, "missing header line 'r n'")
-    return Hypergraph(r, n, frozenset(edges))
+    return _unchecked(r, n, frozenset(edges))

@@ -88,12 +88,19 @@ def pair_arrows(
     _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
     what = "pair_arrows (raise the budget with --budget)"
-    if 0 < e and below_binomial(e, n, r):  # then C(C(n, r), e) >= C(n, r)
+    # C(n, r) < 2^n is cheap for n < EXACT_BITS; with C(n, r) + n < EXACT_BITS so is the
+    # cost C(C(n, r), e) C(n, m) < 2^(C(n, r) + n), and its refusal states it in full, so
+    # no lower bound goes first
+    slots = binomial(n, r) if n < EXACT_BITS else None
+    exact = slots is not None and slots + n < EXACT_BITS
+    if not exact and 0 < e and below_binomial(e, n, r):  # then C(C(n, r), e) >= C(n, r)
         charge(binomial_bits(n, r) + binomial_bits(n, m), what, allowed, log2=True)
-    slots = binomial(n, r)
+    if slots is None:
+        slots = binomial(n, r)
     if not 0 <= e <= slots:
         raise ValueError(f"edge count must lie in [0, C({n},{r})] = [0, {slots}], got {e}")
-    charge(binomial_bits(slots, e) + binomial_bits(n, m), what, allowed, log2=True)
+    if not exact:
+        charge(binomial_bits(slots, e) + binomial_bits(n, m), what, allowed, log2=True)
     charge(binomial(slots, e) * binomial(n, m), what, allowed)
     if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
         if f == (binomial(m, r) if e else 0):
@@ -157,7 +164,8 @@ def non_arrowing_sizes(
     if bits >= EXACT_BITS:
         charge((1 << min(bits, EXACT_BITS**2)) + binomial_bits(n, m), what, allowed, log2=True)
     slots = binomial(n, r)
-    charge(slots + binomial_bits(n, m), what, allowed, log2=True)
+    if slots + n >= EXACT_BITS:  # else 2^C(n, r) C(n, m) < 2^EXACT_BITS is stated in full
+        charge(slots + binomial_bits(n, m), what, allowed, log2=True)
     charge((2**slots) * binomial(n, m), what, allowed)
     tables = _tables(n, r, m)  # built once for all sizes, freed on return
     return {e for e in range(slots + 1)

@@ -120,6 +120,23 @@ def test_oracle_budget_exit_code(capsys):
     assert "budget refusal" in err
 
 
+def test_small_oracle_refusals_state_the_exact_cost(capsys):
+    # C(C(6, 3), 10) C(6, 3) = 184,756 x 20 is below 2^1024, so the refusal
+    # states it in full, not its lower bound 2^13, and names the budget to ask for
+    code, out, err = run(
+        capsys, "oracle", "arrows",
+        "--n", "6", "--e", "10", "--r", "3", "--m", "3", "--f", "1", "--budget", "1000",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("budget refusal: pair_arrows (raise the budget with --budget) "
+                   "needs 3695120 units of work, above the budget of 1000\n")
+    # 2^C(5, 3) C(5, 4) = 1024 x 5 for the sweep over all sizes
+    code, out, err = run(capsys, "oracle", "sizes", "--n", "5", "--r", "3", "--m", "4", "--f", "4", "--budget", "100")
+    assert (code, out) == (2, "")
+    assert err == ("budget refusal: sweeping all sizes (raise the budget with --budget) "
+                   "needs 5120 units of work, above the budget of 100\n")
+
+
 def test_construct_turan_refuses_at_once(tmp_path, capsys):
     # without --out the graph would go to stdout; the sparse case passes its
     # sampling and check charges, and its repair pass over 2,176 sampled

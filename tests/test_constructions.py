@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairset import constructions
@@ -26,11 +26,15 @@ from pairset.constructions import (
 from pairset.errors import BudgetExceededError
 from pairset.hypergraph import (
     Hypergraph,
+    _edge_error,
+    _unchecked,
     complement,
     complete,
+    disjoint_union,
     graph_arrows,
     induced,
     is_sparse,
+    parse,
     serialize,
     spectrum,
 )
@@ -330,6 +334,66 @@ def test_certified_sizes_absent_from_realized_hosts(m, n, built):
         # an induced m-set of either host has C(x, 3) + h edges, h <= min(m, C(m - x, 3)),
         # or C(m, 3) minus that, so a certified f, refuted on both sides, never appears
         assert not certified & spectrum(host, m).counts.keys(), host
+
+
+def _any_graph(draw, r):
+    n = draw(st.integers(0, 7))
+    return Hypergraph(r, n, frozenset(t for t in itertools.combinations(range(n), r) if draw(st.booleans())))
+
+
+def _any_union(draw):
+    r = draw(st.integers(2, 4))
+    return disjoint_union(_any_graph(draw, r), _any_graph(draw, r))
+
+
+def _any_induced(draw):
+    g = _any_graph(draw, draw(st.integers(2, 4)))
+    return induced(g, draw(st.sets(st.integers(0, g.n - 1))) if g.n else ())
+
+
+def _any_realized(draw):
+    n = draw(st.integers(9, 14))
+    host = _realized_host(n, draw(st.integers(0, binomial(n, 3))), 3, draw(st.integers(3, 6)))
+    assume(host is not None)  # e refused as infeasible at this n
+    return host
+
+
+# every builder whose output skips Hypergraph's per-edge checks, with the
+# arguments it is drawn on
+BUILDERS = {
+    "complete": lambda draw: complete(draw(st.integers(0, 8)), draw(st.integers(2, 4))),
+    "complement": lambda draw: complement(_any_graph(draw, draw(st.integers(2, 4)))),
+    "disjoint_union": _any_union,
+    "induced": _any_induced,
+    "parse": lambda draw: parse(serialize(_any_graph(draw, draw(st.integers(2, 4))))),
+    "turan_graph": lambda draw: turan_graph(draw(st.integers(0, 12)), draw(st.integers(1, 5)), draw(st.integers(2, 4))),
+    "iterated_blowup": lambda draw: iterated_blowup(*draw(st.sampled_from(
+        [(BASE_SINGLE_EDGE, 1), (BASE_SINGLE_EDGE, 2), (BASE_SINGLE_EDGE, 3), (BASE_TIGHT_CYCLE, 1), (BASE_TIGHT_CYCLE, 2)]))),
+    "random_sparse": lambda draw: random_sparse(*draw(dense_sparse_args()))[0],
+    "realize": _any_realized,  # realize_clique_plus_sparse, or realize_complement_sparse above half
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.data())
+def test_builders_make_only_valid_edges(builder, data):
+    g = BUILDERS[builder](data.draw)
+    assert type(g.edges) is frozenset
+    for e in g.edges:
+        assert type(e) is tuple and _edge_error(e, g.r, g.n) is None, (builder, e)
+
+
+def test_builders_keep_the_uniformity_and_vertex_count_errors():
+    # the builders skip only the per-edge checks; r and n are checked as by Hypergraph
+    with pytest.raises(ValueError, match=r"^uniformity must be >= 2, got 1$"):
+        complete(5, 1)
+    with pytest.raises(ValueError, match=r"^uniformity must be >= 2, got 0$"):
+        complete(3, 0)
+    with pytest.raises(ValueError, match=r"^vertex count must be >= 0, got -1$"):
+        _unchecked(3, -1, frozenset())
+    # Hypergraph(...) itself still checks every edge
+    with pytest.raises(ValueError, match="out of range"):
+        Hypergraph(3, 4, frozenset({(0, 1, 4)}))
 
 
 @settings(max_examples=60, deadline=None)

@@ -175,6 +175,18 @@ def scan_cases(draw):
 # without descending: the first five vertices, and the pair {0, 1}
 @example((complete(9, 5), 7))
 @example((hypergraph(2, 9, [(0, 1), (0, 8), (3, 4), (5, 6)]), 6))
+# the prefixes of m - 2 vertices read each (m - 1)-set's level-1 row: at
+# r = 2, m = 2 the link bit of the edge {y, z} is y itself
+@example((hypergraph(2, 3, [(0, 1), (1, 2)]), 2))
+@example((hypergraph(2, 5, [(0, 4), (1, 2), (2, 3), (3, 4)]), 2))
+# m = n: one m-subset, whose (m - 1)-prefix is everything but the last vertex
+@example((hypergraph(3, 6, [(0, 1, 5), (1, 2, 3), (2, 4, 5), (3, 4, 5)]), 6))
+# the prefix {0, 1, 2, 3} of (m - 1) vertices holds 4 edges: limits 1..3 cut
+# it at its last vertex, limit 0 at {0, 1, 2}
+@example((hypergraph(3, 7, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (2, 5, 6)]), 5))
+# r = 4 and r = 5, where level 2 feeds the level-1 row
+@example((hypergraph(4, 8, [(0, 1, 2, 3), (0, 1, 4, 7), (1, 2, 5, 6), (2, 3, 5, 7), (3, 4, 6, 7)]), 5))
+@example((hypergraph(5, 9, [(0, 1, 2, 3, 4), (0, 2, 3, 5, 8), (1, 3, 4, 6, 7), (2, 4, 6, 7, 8)]), 7))
 def test_scan_kernel_matches_reference(case):
     g, m = case
     counts = reference_counts(g, m)
