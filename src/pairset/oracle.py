@@ -7,7 +7,10 @@ m-subset, refusing outright when the work would exceed the configured budget.
 pair_arrows walks the graphs depth first in colex order, keeping the prefix
 of fixed edges as one bitmask that each m-subset's count is read off, and
 settles all graphs that differ only in their smallest edge with one more
-bitmask; above half of the r-sets it walks the non-edges instead.
+bitmask; above half of the r-sets it walks the non-edges instead.  It skips
+every subtree below a prefix where an m-subset whose count is already final
+holds f, and counts the skipped graphs as examined, so its verdicts,
+counterexamples and graphs_examined are those of the full walk.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import combinations
 from .combinatorics import binomial, subsets_colex
 from .constructions import BASE_SINGLE_EDGE, iterated_blowup
 from .errors import EXACT_BITS, below_binomial, binomial_bits, charge
-from .hypergraph import Hypergraph, complement, hypergraph, spectrum
+from .hypergraph import Hypergraph, _unchecked, complement, spectrum
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -38,9 +41,10 @@ class ArrowVerdict:
     graphs_examined: int
 
 
-def _tables(n: int, r: int, m: int) -> tuple[list, list]:
-    """The r-sets of range(n) in colex order, and for each m-subset the
-    bitmask of the colex ranks of its r-sets."""
+def _tables(n: int, r: int, m: int) -> tuple[list, list, list]:
+    """The r-sets of range(n) in colex order; for each m-subset the bitmask of
+    the colex ranks of its r-sets; and the nonzero masks as (lowest rank,
+    mask) pairs in descending order."""
     rsets = list(subsets_colex(n, r))
     rank = {s: i for i, s in enumerate(rsets)}
     masks = []
@@ -49,7 +53,8 @@ def _tables(n: int, r: int, m: int) -> tuple[list, list]:
         for t in combinations(s, r):
             word |= 1 << rank[t]
         masks.append(word)
-    return rsets, masks
+    decided = sorted((((word & -word).bit_length() - 1, word) for word in masks if word), reverse=True)
+    return rsets, masks, decided
 
 
 def _check_query(n: int, r: int, m: int, f: int) -> None:
@@ -81,9 +86,23 @@ def pair_arrows(
     counting non-edges against C(m, r) - f, so it never takes more steps
     than there are graphs.
 
+    The walk prunes on decided m-subsets.  Every rank still to fix lies below
+    the prefix's smallest, so an m-subset whose lowest r-set rank is at or
+    above it keeps its count in every graph below the prefix; if that count
+    is f (under flip C(m, r) - f), none of those graphs is a counterexample.
+    At a prefix of j ranks one scan of the m-subsets whose lowest rank is
+    below its smallest, taken in descending order of that rank, finds top,
+    the lowest rank of the first one at count f: the children y < top each
+    keep it, so their C(top, k - j) graphs are skipped.  A child y >= top is
+    skipped, with its C(y, k - j - 1) graphs, when an m-subset of lowest rank
+    y is one short of f, since fixing y completes it.
+
     graphs_examined counts the graphs up to and including the counterexample,
-    or all C(C(n, r), e) of them when there is none.  tables, if given, is
-    _tables(n, r, m), for a caller that asks many e of one (n, r, m).
+    or all C(C(n, r), e) of them when there is none.  A skipped subtree holds
+    no counterexample, and its graphs are added where the colex order visits
+    them, so the pruned walk returns the same counterexample and the same
+    count as the full one.  tables, if given, is _tables(n, r, m), for a
+    caller that asks many e of one (n, r, m).
     """
     _check_query(n, r, m, f)
     allowed = resolve_budget(budget)
@@ -107,45 +126,94 @@ def pair_arrows(
             return ArrowVerdict(True, None, 1)
         charge(e, f"the complete counterexample over C({n},{r}) r-sets", allowed)
         edges = frozenset(combinations(range(n), r)) if e else frozenset()
-        return ArrowVerdict(False, Hypergraph(r, n, edges), 1)
+        return ArrowVerdict(False, _unchecked(r, n, edges), 1)
     # the complements of e-sets in colex order are (slots - e)-sets in reverse
-    # colex order; over k-sets the walk fixes C(slots, k - 1) - 1 prefixes,
-    # fewer than the C(slots, k) graphs while k <= slots / 2
+    # colex order; over k-sets the walk has at most C(slots, k - 1) prefixes of
+    # up to k - 1 ranks, no more than the C(slots, k) graphs while k <= slots / 2
     flip = 2 * e > slots
     k, g = (slots - e, binomial(m, r) - f) if flip else (e, f)
     # here C(slots, e) >= slots >= C(m, r), so the charge covers the tables
-    rsets, masks = tables or _tables(n, r, m)
+    rsets, masks, decided = tables or _tables(n, r, m)
+
+    def leaves(fixed: int, hi: int) -> int:
+        """The ranks i < hi whose graph, the prefix in fixed plus i, has no
+        m-subset at count g, as a bitmask."""
+        miss = (1 << hi) - 1
+        for word in masks:
+            count = (word & fixed).bit_count()
+            if count == g:
+                miss &= word
+            elif count == g - 1:
+                miss &= ~word
+            if not miss:
+                break
+        return miss
+
+    def failing(miss: int, hi: int, prefix: tuple[int, ...], examined: int) -> ArrowVerdict:
+        """The verdict at the first missing leaf below hi: they run from rank 0
+        up, or under flip from hi - 1 down."""
+        i = miss.bit_length() - 1 if flip else (miss & -miss).bit_length() - 1
+        chosen = {i, *prefix}  # the edges, or under flip the non-edges
+        edges = frozenset(t for j, t in enumerate(rsets) if (j in chosen) != flip)
+        return ArrowVerdict(False, _unchecked(r, n, edges), examined + (hi - i if flip else i + 1))
+
+    if k == 1:  # the root holds the leaves
+        miss = leaves(0, slots)
+        return failing(miss, slots, (), 0) if miss else ArrowVerdict(True, None, slots)
     examined = 0
-    prefix: list[int] = []  # the fixed ranks, largest first
+    prefix: list[int] = []  # the fixed ranks, largest first, down to depth k - 2
     fixed = 0  # their bitmask
-    y = slots - 1 if flip else k - 1  # next rank to fix; the j-th largest of k is at least k - j
+    saved: list[tuple[int, int]] = []  # (floor, skip) of the prefixes above this one
+    fresh = True  # at a prefix not yet scanned
     while True:
         depth = len(prefix)
-        if depth < k - 1:
-            if k - 1 - depth <= y < (prefix[-1] if prefix else slots):
+        hi = prefix[-1] if prefix else slots
+        if fresh:
+            # the children run up from floor, or under flip down to it: each
+            # one below top keeps a decided m-set at count g, and a set bit y
+            # of skip marks a child whose newest m-sets reach g
+            fresh = False
+            top = skip = 0
+            if g <= depth + 1:  # else no count reaches g - 1 over depth fixed ranks
+                for low, word in decided:
+                    if low >= hi:  # decided above this prefix, and not at count g
+                        continue
+                    if low < top:
+                        break
+                    count = (word & fixed).bit_count()
+                    if count == g:
+                        top = low
+                    elif count == g - 1:
+                        skip |= 1 << low
+            floor = max(top, k - 1 - depth)  # the j-th largest of k is at least k - j
+            if flip:
+                y = hi - 1
+            else:
+                examined += binomial(floor, k - depth)  # the children below floor
+                y = floor
+        if depth < k - 2:
+            if floor <= y < hi:
+                if skip >> y & 1:
+                    examined += binomial(y, k - 1 - depth)
+                    y += -1 if flip else 1
+                    continue
                 fixed |= 1 << y
                 prefix.append(y)
-                y = y - 1 if flip else k - 2 - depth
+                saved.append((floor, skip))
+                fresh = True
                 continue
-        else:
-            hi = prefix[-1] if prefix else slots
-            miss = (1 << hi) - 1
-            for word in masks:
-                count = (word & fixed).bit_count()
-                if count == g:
-                    miss &= word
-                elif count == g - 1:
-                    miss &= ~word
-                if not miss:
-                    break
-            if miss:  # the leaves run from rank 0 up, or under flip from hi - 1 down
-                i = miss.bit_length() - 1 if flip else (miss & -miss).bit_length() - 1
-                chosen = {i, *prefix}  # the edges, or under flip the non-edges
-                cex = hypergraph(r, n, (t for j, t in enumerate(rsets) if (j in chosen) != flip))
-                return ArrowVerdict(False, cex, examined + (hi - i if flip else i + 1))
-            examined += hi
+        else:  # each child y holds the y leaves below it
+            for y in range(hi - 1, floor - 1, -1) if flip else range(floor, hi):
+                if not skip >> y & 1:
+                    miss = leaves(fixed | 1 << y, y)
+                    if miss:
+                        return failing(miss, y, (y, *prefix), examined)
+                examined += y
+        if flip:
+            examined += binomial(floor, k - depth)  # the children below floor
         if not prefix:
             return ArrowVerdict(True, None, examined)
+        floor, skip = saved.pop()
         y = prefix.pop()
         fixed ^= 1 << y
         y += -1 if flip else 1

@@ -9,8 +9,8 @@ from pairset.avoidability import (
     CheckedInequality,
     RealizabilityWitness,
 )
-from pairset.combinatorics import binomial, colex_key, partite_sizes
-from pairset.hypergraph import hypergraph
+from pairset.combinatorics import binomial, colex_key, partite_sizes, subsets_colex
+from pairset.hypergraph import Hypergraph, hypergraph
 
 
 def reference_counts(g, m):
@@ -78,6 +78,74 @@ def reference_arrows(n, e, r, m, f):
         if f not in reference_counts(g, m):
             return False, g, examined
     return True, None, examined
+
+
+def reference_walk_tables(n, r, m):
+    """The r-sets of range(n) in colex order, and for each m-subset the
+    bitmask of the colex ranks of its r-sets: the tables of reference_walk."""
+    rsets = list(subsets_colex(n, r))
+    rank = {s: i for i, s in enumerate(rsets)}
+    masks = []
+    for s in combinations(range(n), m):
+        word = 0
+        for t in combinations(s, r):
+            word |= 1 << rank[t]
+        masks.append(word)
+    return rsets, masks
+
+
+def reference_walk(n, e, r, m, f):
+    """(arrows, counterexample, graphs_examined) from the unpruned prefix walk.
+
+    pair_arrows' walk before it skipped subtrees below decided m-sets, kept
+    line for line without the budget: every prefix of k - 1 fixed ranks is
+    visited, and each reads every m-subset's mask.  Fast enough to compare
+    against on hundreds of thousands of graphs, where reference_arrows,
+    one Hypergraph per graph, is not.
+    """
+    slots = binomial(n, r)
+    if e in (0, slots):  # one graph; each m-subset induces none or all of its r-sets
+        if f == (binomial(m, r) if e else 0):
+            return True, None, 1
+        edges = frozenset(combinations(range(n), r)) if e else frozenset()
+        return False, Hypergraph(r, n, edges), 1
+    flip = 2 * e > slots
+    k, g = (slots - e, binomial(m, r) - f) if flip else (e, f)
+    rsets, masks = reference_walk_tables(n, r, m)
+    examined = 0
+    prefix = []  # the fixed ranks, largest first
+    fixed = 0  # their bitmask
+    y = slots - 1 if flip else k - 1  # next rank to fix; the j-th largest of k is at least k - j
+    while True:
+        depth = len(prefix)
+        if depth < k - 1:
+            if k - 1 - depth <= y < (prefix[-1] if prefix else slots):
+                fixed |= 1 << y
+                prefix.append(y)
+                y = y - 1 if flip else k - 2 - depth
+                continue
+        else:
+            hi = prefix[-1] if prefix else slots
+            miss = (1 << hi) - 1
+            for word in masks:
+                count = (word & fixed).bit_count()
+                if count == g:
+                    miss &= word
+                elif count == g - 1:
+                    miss &= ~word
+                if not miss:
+                    break
+            if miss:  # the leaves run from rank 0 up, or under flip from hi - 1 down
+                i = miss.bit_length() - 1 if flip else (miss & -miss).bit_length() - 1
+                chosen = {i, *prefix}  # the edges, or under flip the non-edges
+                cex = hypergraph(r, n, (t for j, t in enumerate(rsets) if (j in chosen) != flip))
+                return False, cex, examined + (hi - i if flip else i + 1)
+            examined += hi
+        if not prefix:
+            return True, None, examined
+        y = prefix.pop()
+        fixed ^= 1 << y
+        y += -1 if flip else 1
 
 
 def reference_turan_edges(n, l, r):

@@ -24,6 +24,7 @@ from pairset.constructions import (
     turan_graph,
 )
 from pairset.errors import BudgetExceededError
+from pairset.oracle import pair_arrows
 from pairset.hypergraph import (
     Hypergraph,
     _edge_error,
@@ -358,6 +359,17 @@ def _any_realized(draw):
     return host
 
 
+def _any_counterexample(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(0, n))
+    slots = binomial(n, r)
+    e = draw(st.sampled_from([e for e in range(slots + 1) if binomial(slots, e) * binomial(n, m) <= 10**5]))
+    verdict = pair_arrows(n, e, r, m, draw(st.integers(0, binomial(m, r))))
+    assume(not verdict.arrows)
+    return verdict.counterexample  # the walk's, or the one graph of e = 0 or C(n, r)
+
+
 # every builder whose output skips Hypergraph's per-edge checks, with the
 # arguments it is drawn on
 BUILDERS = {
@@ -371,6 +383,7 @@ BUILDERS = {
         [(BASE_SINGLE_EDGE, 1), (BASE_SINGLE_EDGE, 2), (BASE_SINGLE_EDGE, 3), (BASE_TIGHT_CYCLE, 1), (BASE_TIGHT_CYCLE, 2)]))),
     "random_sparse": lambda draw: random_sparse(*draw(dense_sparse_args()))[0],
     "realize": _any_realized,  # realize_clique_plus_sparse, or realize_complement_sparse above half
+    "pair_arrows": _any_counterexample,
 }
 
 

@@ -18,7 +18,7 @@ from pairset.oracle import (
     resolve_budget,
     verify_blowup_claims,
 )
-from reference import reference_arrows
+from reference import reference_arrows, reference_walk
 
 
 def test_graph_arrows_examples():
@@ -172,22 +172,24 @@ class ReadCounter(list):
 
 
 def test_walk_steps_within_graph_count():
-    # over k = min(e, C(n, r) - e) fixed ranks the walk scans the masks once
-    # for each of C(C(n, r) - 1, k - 1) runs of leaves, no more than the
-    # C(C(n, r), e) graphs charged
+    # over k = min(e, C(n, r) - e) fixed ranks the walk has C(C(n, r), k - 1)
+    # prefixes of up to k - 1 ranks, no more than the C(C(n, r), e) graphs
+    # charged; each reads one table at most once: a run of leaves scans the
+    # masks, and any other prefix scans the decided m-sets below it
     for n, e, r, m, f in (
         (20, 1139, 3, 20, 1139), (20, 1138, 3, 20, 1138), (9, 83, 3, 6, 20),
         (9, 82, 3, 6, 20), (9, 81, 3, 6, 18), (9, 2, 3, 6, 1), (7, 32, 3, 5, 9), (7, 3, 3, 5, 1),
+        (8, 3, 3, 4, 0), (8, 53, 3, 4, 4), (7, 4, 3, 5, 0),
     ):
-        rsets, masks = _tables(n, r, m)
-        masks = ReadCounter(masks)
-        v = pair_arrows(n, e, r, m, f, tables=(rsets, masks))
+        rsets, masks, decided = _tables(n, r, m)
+        masks, decided = ReadCounter(masks), ReadCounter(decided)
+        v = pair_arrows(n, e, r, m, f, tables=(rsets, masks, decided))
         graphs = binomial(binomial(n, r), e)
         assert v.graphs_examined <= graphs
-        assert masks.reads <= graphs
-    # its C(C(n, r), k - 1) - 1 prefix pushes read no table, so time them: one
+        assert masks.reads + decided.reads <= graphs
+    # prefixes that read no table escape that count, so time the walk too: one
     # edge short of complete, the non-edge walk pushes nothing, where fixing
-    # the edges would push C(4060, 4058) - 1, about 8.2 million, prefixes
+    # the edges would visit C(4060, 4058), about 8.2 million, prefixes
     started = time.perf_counter()
     v = pair_arrows(30, 4059, 3, 30, 4059)
     assert time.perf_counter() - started < 0.5
@@ -247,12 +249,13 @@ REFERENCE_WORK = 5000
 
 
 @st.composite
-def arrow_queries(draw):
+def arrow_queries(draw, max_n=7, work=REFERENCE_WORK):
     r = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(min_value=0, max_value=7))
+    n = draw(st.integers(min_value=0, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=n))
     slots = binomial(n, r)
-    sizes = [e for e in range(slots + 1) if binomial(slots, e) * binomial(n, m) <= REFERENCE_WORK]
+    # C(slots, e) = C(slots, slots - e): the sizes lie on both sides of half
+    sizes = [e for e in range(slots + 1) if binomial(slots, e) * binomial(n, m) <= work]
     e = draw(st.sampled_from(sizes))
     f = draw(st.integers(min_value=0, max_value=binomial(m, r)))
     return n, e, r, m, f
@@ -276,3 +279,53 @@ def test_pair_arrows_matches_reference(query):
     arrows, cex, examined = reference_arrows(*query)
     v = pair_arrows(*query)
     assert (v.arrows, v.counterexample, v.graphs_examined) == (arrows, cex, examined)
+
+
+# the unpruned walk reads every m-subset at every run of leaves, so queries
+# stay within this many graph-subsets
+WALK_WORK = 3_000_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_queries(max_n=8, work=WALK_WORK))
+@example((8, 1, 3, 4, 0))  # e = 1: the root holds the leaves
+@example((8, 1, 3, 4, 1))
+@example((8, 55, 3, 4, 4))  # e = C(n, r) - 1
+@example((8, 55, 3, 5, 6))
+@example((6, 3, 3, 2, 0))  # m < r
+@example((7, 2, 3, 0, 0))  # m = 0
+@example((8, 3, 3, 4, 0))  # f = 0
+@example((8, 3, 3, 5, 0))
+@example((7, 4, 3, 5, 0))
+@example((8, 53, 3, 4, 4))  # f = C(m, r), under flip at count 0
+@example((7, 31, 3, 5, 10))
+@example((7, 16, 2, 4, 4))
+def test_pruned_walk_matches_the_unpruned_walk(query):
+    v = pair_arrows(*query)
+    assert (v.arrows, v.counterexample, v.graphs_examined) == reference_walk(*query)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 6), st.data())
+def test_non_arrowing_sizes_match_the_unpruned_walk(r, n, data):
+    m = data.draw(st.integers(0, n), label="m")
+    f = data.draw(st.integers(0, binomial(m, r)), label="f")
+    slots = binomial(n, r)
+    expected = {e for e in range(slots + 1) if not reference_walk(n, e, r, m, f)[0]}
+    assert non_arrowing_sizes(n, r, m, f, budget=2**slots * binomial(n, m)) == expected
+
+
+def test_ground_truth_at_seven_and_eight_vertices():
+    # with the budget raised; each sweep or query takes well under a second pruned
+    for n in (7, 8):
+        slots = binomial(n, 3)
+        for f in (7, 8, 9, 11):  # the certified m = 6 pairs at r = 3 arrow at no e
+            sizes = non_arrowing_sizes(n, 3, 6, f, budget=2**slots * binomial(n, 6))
+            assert sizes == set(range(slots + 1))
+    v = pair_arrows(7, 12, 3, 4, 0, budget=binomial(35, 12) * 35)
+    assert not v.arrows
+    assert v.counterexample.edge_count == 12
+    assert not graph_arrows(v.counterexample, 4, 0)
+    # ex(n, K4^(3)), the most edges with no 4-set holding all four of its triples
+    assert non_arrowing_sizes(5, 3, 4, 4) == set(range(8))
+    assert non_arrowing_sizes(6, 3, 4, 4) == set(range(15))
